@@ -1,15 +1,23 @@
 /**
  * @file
- * Measurement: worker-pool spawn amortization and work stealing
- * (DESIGN.md §15).
+ * Measurement: the cost of process isolation, and work stealing
+ * (DESIGN.md §13, §15).
  *
- * Part 1 — spawn amortization. For each benchmark, runs the same
- * combinational (CB) campaign under --isolation=fork (one fork+reap
- * per evaluation) and --isolation=pool (persistent pre-forked workers
- * fed over shared-memory rings), and compares the per-evaluation
- * sandbox overhead: fork's spawn cost against pool's dispatch cost.
- * The headline check: pool dispatch stays at or under half the fork
- * spawn cost per evaluation.
+ * Part 1 — isolation cost. For each benchmark, runs the same
+ * combinational (CB) campaign three times from identical options:
+ * in-process (--isolation=none), on a fresh one-job worker per
+ * evaluation (--isolation=fork: fork + prepare + reap per attempt)
+ * and on persistent pre-forked workers fed over shared-memory rings
+ * (--isolation=pool). All three are fault-free, so they execute the
+ * same configuration set (CB's exploration order is fixed; the
+ * reported winner may differ by timing noise, exactly as between two
+ * in-process runs). Two headline checks:
+ *  - fork overhead: at reps >= 3 on application benchmarks, fork's
+ *    search wall time stays under 10% above in-process — the fork
+ *    tax is paid once per evaluation while the program runs reps
+ *    times;
+ *  - spawn amortization: pool dispatch stays at or under half the
+ *    fork spawn cost per evaluation.
  *
  * Part 2 — work stealing. Pushes a deliberately uneven-latency
  * synthetic batch through SearchContext::evaluateBatch under the
@@ -47,15 +55,24 @@ namespace {
 
 using namespace hpcmixp;
 
-struct PoolRun {
+struct IsolationRun {
     std::string benchmark;
     std::size_t evaluated = 0;
+    double noneSeconds = 0.0;  ///< in-process search wall time
+    double forkSeconds = 0.0;  ///< fork-isolated search wall time
+    double overheadPct = 0.0;  ///< fork over none, percent
     double forkSpawnMs = 0.0;  ///< mean fork+reap overhead per eval
     double poolSpawnMs = 0.0;  ///< mean ring-dispatch overhead per eval
     double ratio = 0.0;        ///< pool / fork (lower is better)
     std::size_t poolForks = 0; ///< actual fork() calls under the pool
-    bool evMatch = false;
+    bool evMatch = false;      ///< all three modes executed the same EV
 };
+
+double
+rate(std::size_t count, double seconds)
+{
+    return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
+}
 
 /**
  * Synthetic uneven-latency problem for the stealing comparison: each
@@ -139,50 +156,71 @@ main(int argc, char** argv)
     std::string jsonPath =
         cl.getString("json", "BENCH_worker_pool.json");
 
-    // ---- Part 1: spawn amortization, fork vs pool -------------------
+    // ---- Part 1: isolation cost, none vs fork vs pool ------------
 
+    // Application benchmarks, not microkernels: per-evaluation
+    // runtime must dwarf the ~ms fork tax for the overhead number to
+    // mean anything — a kernel finishing in 2 ms under-reps would
+    // show 100% overhead for 2 ms of absolute cost.
     std::vector<std::string> names{"kmeans", "hotspot", "lavamd"};
     if (support::quickMode())
         names = {"kmeans"};
 
-    support::Table table({"benchmark", "EV", "fork spawn ms",
+    support::Table table({"benchmark", "EV", "ev/s none", "ev/s fork",
+                          "fork overhead %", "fork spawn ms",
                           "pool dispatch ms", "pool/fork", "pool forks",
                           "EV match"});
-    std::vector<PoolRun> runs;
+    std::vector<IsolationRun> runs;
 
     for (const std::string& name : names) {
         auto benchmark =
             benchmarks::BenchmarkRegistry::instance().create(name);
 
-        PoolRun run;
+        // One tuner per mode: isolation is fixed at construction.
+        auto campaign = [&](support::IsolationMode isolation,
+                            core::SandboxStats& stats) {
+            core::TunerOptions modeOptions = options.tuner;
+            modeOptions.isolation = isolation;
+            core::BenchmarkTuner tuner(*benchmark, modeOptions);
+            core::TuneOutcome outcome = tuner.tune("CB");
+            stats = tuner.sandboxStats();
+            return outcome;
+        };
+        core::SandboxStats noneStats, forkStats, poolStats;
+        core::TuneOutcome none =
+            campaign(support::IsolationMode::None, noneStats);
+        core::TuneOutcome forked =
+            campaign(support::IsolationMode::Fork, forkStats);
+        core::TuneOutcome pooled =
+            campaign(support::IsolationMode::Pool, poolStats);
+
+        IsolationRun run;
         run.benchmark = name;
-
-        core::TunerOptions forkOptions = options.tuner;
-        forkOptions.isolation = support::IsolationMode::Fork;
-        core::BenchmarkTuner forkTuner(*benchmark, forkOptions);
-        core::TuneOutcome forked = forkTuner.tune("CB");
-
-        core::TunerOptions poolOptions = options.tuner;
-        poolOptions.isolation = support::IsolationMode::Pool;
-        core::BenchmarkTuner poolTuner(*benchmark, poolOptions);
-        core::TuneOutcome pooled = poolTuner.tune("CB");
-
-        run.evaluated = forked.search.evaluated;
-        run.forkSpawnMs =
-            forkTuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
-        run.poolSpawnMs =
-            poolTuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
+        run.evaluated = none.search.evaluated;
+        run.noneSeconds = none.search.searchSeconds;
+        run.forkSeconds = forked.search.searchSeconds;
+        run.overheadPct =
+            run.noneSeconds > 0.0
+                ? (run.forkSeconds / run.noneSeconds - 1.0) * 100.0
+                : 0.0;
+        run.forkSpawnMs = forkStats.spawnOverheadMeanSeconds * 1e3;
+        run.poolSpawnMs = poolStats.spawnOverheadMeanSeconds * 1e3;
         run.ratio = run.forkSpawnMs > 0.0
                         ? run.poolSpawnMs / run.forkSpawnMs
                         : 0.0;
-        run.poolForks = poolTuner.sandboxStats().forks;
-        run.evMatch =
-            pooled.search.evaluated == forked.search.evaluated;
+        run.poolForks = poolStats.forks;
+        run.evMatch = forked.search.evaluated == run.evaluated &&
+                      pooled.search.evaluated == run.evaluated;
         runs.push_back(run);
 
         table.addRow(
             {name,
              support::Table::cell(static_cast<long>(run.evaluated)),
+             support::Table::cell(rate(run.evaluated, run.noneSeconds),
+                                  1),
+             support::Table::cell(rate(run.evaluated, run.forkSeconds),
+                                  1),
+             support::Table::cell(run.overheadPct, 1),
              support::Table::cell(run.forkSpawnMs, 3),
              support::Table::cell(run.poolSpawnMs, 3),
              support::Table::cell(run.ratio, 3),
@@ -190,7 +228,7 @@ main(int argc, char** argv)
              run.evMatch ? "yes" : "NO"});
     }
 
-    std::cout << "Worker-pool spawn amortization, CB campaigns (budget "
+    std::cout << "Isolation cost, CB campaigns (budget "
               << options.tuner.budget.maxEvaluations << ", reps "
               << options.tuner.searchReps << ")\n";
     benchutil::emit(table, options);
@@ -236,11 +274,14 @@ main(int argc, char** argv)
             Value::number(
                 static_cast<double>(options.tuner.searchReps)));
     Value rows = Value::array();
-    for (const PoolRun& run : runs) {
+    for (const IsolationRun& run : runs) {
         Value row = Value::object();
         row.set("benchmark", Value::string(run.benchmark));
         row.set("evaluated",
                 Value::number(static_cast<double>(run.evaluated)));
+        row.set("none_seconds", Value::number(run.noneSeconds));
+        row.set("fork_seconds", Value::number(run.forkSeconds));
+        row.set("fork_overhead_pct", Value::number(run.overheadPct));
         row.set("fork_spawn_ms", Value::number(run.forkSpawnMs));
         row.set("pool_dispatch_ms", Value::number(run.poolSpawnMs));
         row.set("pool_over_fork", Value::number(run.ratio));

@@ -5,16 +5,16 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
+#include <thread>
 
 #include "runtime/workspace.h"
 #include "search/genetic.h"
 #include "support/logging.h"
 #include "support/memo_log.h"
-#include "support/shm_arena.h"
 #include "support/timer.h"
 #include "support/worker_pool.h"
 #include "typeforge/lint.h"
-#include "verify/metrics.h"
 
 namespace hpcmixp::core {
 
@@ -127,23 +127,6 @@ evalWorkspace()
 }
 
 /**
- * Fixed-size result record a sandboxed child commits to the arena.
- * POD only: it crosses the process boundary as raw bytes. The child
- * ships the fused ErrorStats so the parent can re-derive the verdict
- * without the output vector; for custom (non-fusible) metrics the
- * child's own verdict fields are authoritative.
- */
-struct SandboxPayload {
-    double runtimeSeconds = 0.0;   ///< trimmed mean over timed reps
-    double childWallSeconds = 0.0; ///< child-side wall clock
-    std::uint32_t passed = 0;
-    std::uint32_t pad = 0;
-    double loss = 0.0;
-    double rawValue = 0.0;
-    verify::ErrorStats stats;
-};
-
-/**
  * Fixed header of a pool job record: [PoolJobHeader][config chars].
  * The configuration crosses as its digit-per-site toString() image —
  * the same canonical key the memo layer uses — so the wire format is
@@ -158,11 +141,17 @@ struct PoolJobHeader {
 
 } // namespace
 
-bool
-BenchmarkTuner::isVarLowered(const Config& varCfg, model::VarId var) const
-{
-    return varCfg.test(siteIndexOf(variables_, var));
-}
+/**
+ * Fixed-size result of one measured evaluation. POD only: under
+ * isolation a sandbox worker hands it back as raw bytes.
+ */
+struct BenchmarkTuner::SandboxPayload {
+    double runtimeSeconds = 0.0;   ///< trimmed mean over timed reps
+    double childWallSeconds = 0.0; ///< worker-side wall clock
+    std::uint32_t passed = 0;
+    std::uint32_t pad = 0;
+    double loss = 0.0;
+};
 
 std::uint8_t
 BenchmarkTuner::varLevel(const Config& varCfg, model::VarId var) const
@@ -248,24 +237,48 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
             *variableProblem_, options_.faultPlan);
     }
 
-    // Pre-fork the sandbox workers now, after runBaseline(): every
-    // worker inherits the reference output and the benchmark's warmed
+    // Set up the sandbox now, after runBaseline(): every worker
+    // inherits the reference output and the benchmark's warmed
     // CachedInput through the fork, and the per-campaign fd budget
     // (rings + doorbells) is paid once here — the count stays constant
-    // through the whole campaign, respawns included.
-    if (options_.isolation == support::IsolationMode::Pool) {
-        std::size_t workers =
-            options_.poolWorkers > 0
-                ? options_.poolWorkers
-                : std::max<std::size_t>(options_.searchJobs, 1);
+    // through the whole campaign, respawns included. Pool workers fork
+    // here and serve the whole campaign; fork isolation forks a
+    // one-job worker per attempt, with a slot for every evaluation
+    // thread the machine runs (portfolio entrants evaluate
+    // concurrently).
+    if (options_.isolation != support::IsolationMode::None) {
+        const bool pool = options_.isolation == support::IsolationMode::Pool;
+        std::size_t workers = std::max<std::size_t>(options_.searchJobs, 1);
+        if (pool && options_.poolWorkers > 0)
+            workers = options_.poolWorkers;
+        if (!pool) {
+            workers = std::max<std::size_t>(
+                workers, std::thread::hardware_concurrency());
+            // A one-job worker prepares from the parent's input caches
+            // as of its dispatch and throws its own conversions away on
+            // exit, so convert every input at every rung once, here. A
+            // rung whose prepare fails stays cold; the worker that hits
+            // it reports the failure.
+            for (std::size_t level = 1;
+                 level <= options_.ladder.maxLevel(); ++level) {
+                try {
+                    (void)benchmark_.prepare(precisionMapFor(
+                        Config::allLowered(
+                            clusterCount(),
+                            static_cast<std::uint8_t>(level))));
+                } catch (const std::exception&) {
+                }
+            }
+        }
         workerPool_ = std::make_unique<support::WorkerPool>(
             workers, sizeof(PoolJobHeader) + clusterCount(),
             sizeof(SandboxPayload),
             [this](const void* job, std::size_t jobSize, void* result,
                    std::size_t resultCapacity) {
-                return poolChildRun(job, jobSize, result,
-                                    resultCapacity);
-            });
+                return serveJob(job, jobSize, result, resultCapacity);
+            },
+            pool ? support::WorkerLifetime::Persistent
+                 : support::WorkerLifetime::OneJob);
     }
 }
 
@@ -324,29 +337,18 @@ BenchmarkTuner::buildStructure()
 void
 BenchmarkTuner::runBaseline()
 {
-    PrecisionMap allDouble;
-    allDouble.setOwner(benchmark_.name());
-    benchmarks::RunPlan plan = benchmark_.prepare(allDouble);
-    runtime::RunWorkspace& ws = evalWorkspace();
     // The baseline anchors every speedup ratio, so it is always
     // measured with the full final-measurement protocol. The reference
     // output comes from the first timed rep: every rep produces the
     // same values, so no extra untimed run is needed.
-    std::size_t reps = std::max<std::size_t>(
-        std::max(options_.searchReps, options_.finalReps), 1);
-    std::vector<double> samples;
-    samples.reserve(reps);
-    for (std::size_t i = 0; i < reps; ++i) {
-        support::WallTimer timer;
-        benchmarks::RunOutput output = benchmark_.execute(plan, ws);
-        samples.push_back(timer.seconds());
-        if (i == 0)
-            reference_ = std::move(output.values);
-    }
+    benchmarks::RunOutput output;
+    baselineSeconds_ =
+        timeReps(Config(clusterCount()),
+                 std::max(options_.searchReps, options_.finalReps), output);
+    reference_ = std::move(output.values);
     if (reference_.empty())
         support::fatal(support::strCat("benchmark ", benchmark_.name(),
                                        " produced no output"));
-    baselineSeconds_ = support::trimmedMean(std::move(samples));
 }
 
 PrecisionMap
@@ -382,310 +384,83 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
     return out;
 }
 
-Evaluation
-BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
-                                      std::size_t reps)
-{
-    if (options_.isolation == support::IsolationMode::Fork)
-        return evaluateSandboxed(cfg, reps);
-    if (options_.isolation == support::IsolationMode::Pool)
-        return evaluatePooled(cfg, reps);
-
-    Evaluation eval;
-    PrecisionMap pm = precisionMapFor(cfg);
-
-    // Prepare once per configuration: precision resolution and input
-    // conversion happen here, outside the timed region. Each timed rep
-    // is a pure execute against the per-thread workspace arena, and the
-    // verification output is taken from the first timed rep instead of
-    // a separate untimed run.
-    benchmarks::RunOutput output;
-    std::vector<double> samples;
-    // Timed region includes the refinement sweeps: recovery is only a
-    // win when the corrected run is still faster than the baseline. A
-    // diverging refinement throws RefineDiverged, landing in the catch
-    // below as an ordinary RuntimeFail (never a hang — the iteration
-    // count is bounded).
-    const bool refined = useRefinement(cfg);
-    try {
-        benchmarks::RunPlan plan = benchmark_.prepare(pm);
-        runtime::RunWorkspace& ws = evalWorkspace();
-        std::size_t timedReps = std::max<std::size_t>(reps, 1);
-        samples.reserve(timedReps);
-        for (std::size_t i = 0; i < timedReps; ++i) {
-            support::WallTimer timer;
-            benchmarks::RunOutput repOutput =
-                executeForConfig(plan, ws, refined);
-            samples.push_back(timer.seconds());
-            if (i == 0)
-                output = std::move(repOutput);
-        }
-    } catch (const std::exception&) {
-        eval.status = EvalStatus::RuntimeFail;
-        eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-        return eval;
-    }
-
-    verify::Verdict verdict =
-        comparator_.verify(reference_, output.values);
-    eval.runtimeSeconds = support::trimmedMean(std::move(samples));
-    eval.speedup = baselineSeconds_ / eval.runtimeSeconds;
-    eval.qualityLoss = verdict.loss;
-    eval.status =
-        verdict.passed ? EvalStatus::Pass : EvalStatus::QualityFail;
-    return eval;
-}
-
 /**
- * One evaluation attempt in a forked, crash-contained child.
+ * Prepare @p cfg and time @p reps executes of it (at least one);
+ * returns their trimmed mean and leaves the first rep's output in
+ * @p output.
  *
- * prepare() stays in the parent: input conversion is cached per
- * process (CachedInput), and the child inherits the prepared RunPlan
- * through copy-on-write for free — forking before prepare() would
- * re-convert inputs in every child and throw the work away with it.
- * The child only executes, verifies against the inherited reference,
- * and commits a fixed-size payload to the shared arena; the parent
- * reaps, classifies the exit, and maps everything that is not a clean
- * committed result to RuntimeFail for the ordinary retry/quarantine
- * machinery (DESIGN.md §13).
+ * Prepare runs once per configuration: precision resolution and input
+ * conversion happen here, outside the timed region. Each timed rep is
+ * a pure execute against the per-thread workspace arena, and the
+ * verification output is taken from the first timed rep instead of a
+ * separate untimed run. The timed region includes the refinement
+ * sweeps: recovery is only a win when the corrected run is still
+ * faster than the baseline. A failing prepare or a diverging
+ * refinement (RefineDiverged; never a hang, the iteration count is
+ * bounded) throws.
  */
-Evaluation
-BenchmarkTuner::evaluateSandboxed(const Config& cfg, std::size_t reps)
+double
+BenchmarkTuner::timeReps(const Config& cfg, std::size_t reps,
+                         benchmarks::RunOutput& output) const
 {
-    // A raw fault drawn by FaultyProblem on this thread detonates
-    // inside the child, never in the parent.
-    const search::RawFault rawFault = search::takePendingRawFault();
-
-    Evaluation eval;
-    eval.status = EvalStatus::RuntimeFail;
-    eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-    eval.memoizable = false;
-
-    if (crashCutoffTripped())
-        return eval;
-
-    support::ShmArena arena(sizeof(SandboxPayload));
-    support::ChildOutcome child;
     const bool refined = useRefinement(cfg);
-    try {
-        PrecisionMap pm = precisionMapFor(cfg);
-        benchmarks::RunPlan plan = benchmark_.prepare(pm);
-        child = support::runInFork(
-            [&] {
-                search::executeRawFault(rawFault);
-                runtime::RunWorkspace ws; // child-private arena
-                support::WallTimer childTimer;
-                benchmarks::RunOutput output;
-                std::size_t timedReps = std::max<std::size_t>(reps, 1);
-                std::vector<double> samples;
-                samples.reserve(timedReps);
-                for (std::size_t i = 0; i < timedReps; ++i) {
-                    support::WallTimer timer;
-                    // RefineDiverged thrown here is contained by the
-                    // fork trampoline (kChildBodyThrew) and classified
-                    // exactly like the in-process RuntimeFail.
-                    benchmarks::RunOutput repOutput =
-                        executeForConfig(plan, ws, refined);
-                    samples.push_back(timer.seconds());
-                    if (i == 0)
-                        output = std::move(repOutput);
-                }
-                SandboxPayload payload;
-                payload.runtimeSeconds =
-                    support::trimmedMean(std::move(samples));
-                payload.stats = verify::computeErrorStats(
-                    reference_, output.values);
-                verify::Verdict verdict =
-                    comparator_.fusible()
-                        ? comparator_.verifyStats(payload.stats)
-                        : comparator_.verify(reference_, output.values);
-                payload.passed = verdict.passed ? 1 : 0;
-                payload.loss = verdict.loss;
-                payload.rawValue = verdict.rawValue;
-                payload.childWallSeconds = childTimer.seconds();
-                arena.commit(&payload, sizeof payload);
-            },
-            options_.resilience.deadlineSeconds);
-    } catch (const std::exception&) {
-        // prepare() failed in the parent — same classification the
-        // in-process path gives it, and nothing was forked.
-        eval.memoizable = true;
-        return eval;
-    }
-
-    SandboxPayload payload;
-    const bool arenaValid = child.exit == support::ChildExit::Clean &&
-                            arena.read(&payload, sizeof payload);
-    {
-        std::lock_guard<std::mutex> lock(sandboxMutex_);
-        ++sandbox_.forks;
-        switch (child.exit) {
-          case support::ChildExit::Clean:
-            if (arenaValid) {
-                ++sandbox_.cleanExits;
-                spawnOverheadSum_ += std::max(
-                    0.0, child.wallSeconds - payload.childWallSeconds);
-            } else {
-                // Exited 0 without a checksum-valid committed payload:
-                // died mid-write or never committed. Untrustworthy.
-                ++sandbox_.arenaCorrupt;
-            }
-            break;
-          case support::ChildExit::NonZeroExit:
-            ++sandbox_.nonZeroExits;
-            break;
-          case support::ChildExit::Signaled:
-            ++sandbox_.signaled;
-            break;
-          case support::ChildExit::KilledOnDeadline:
-            ++sandbox_.killedOnDeadline;
-            break;
-          case support::ChildExit::SpawnFailed:
-            ++sandbox_.spawnFailed;
-            break;
-        }
-    }
-
-    if (child.exit == support::ChildExit::KilledOnDeadline) {
-        // Report the kill so the resilience layer counts exactly one
-        // deadline miss — identical to a simulated straggler.
-        eval.deadlineMiss = true;
-        return eval;
-    }
-    if (child.exit == support::ChildExit::NonZeroExit &&
-        child.detail == support::kChildBodyThrew) {
-        // The child ran and threw a C++ exception the fork trampoline
-        // contained — the exact failure the in-process path catches
-        // and publishes, so keep it memoizable for trajectory (and
-        // memo-content) identity across isolation modes.
-        eval.memoizable = true;
-        return eval;
-    }
-    if (!arenaValid)
-        return eval; // crashed / signaled / corrupt: quarantine fodder
-
-    eval.memoizable = true;
-    eval.runtimeSeconds = payload.runtimeSeconds;
-    eval.speedup = baselineSeconds_ / payload.runtimeSeconds;
-    eval.qualityLoss = payload.loss;
-    eval.status = payload.passed != 0 ? EvalStatus::Pass
-                                      : EvalStatus::QualityFail;
-    return eval;
-}
-
-/**
- * Crash-loop cutoff shared by both sandboxed paths. Returns true (and
- * marks one fast-fail) once crashed children reach the configured cap;
- * the caller then publishes its pre-initialized fast-fail RuntimeFail.
- */
-bool
-BenchmarkTuner::crashCutoffTripped()
-{
-    if (options_.isolationMaxCrashes == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(sandboxMutex_);
-    if (sandbox_.crashedChildren() < options_.isolationMaxCrashes)
-        return false;
-    ++sandbox_.fastFailed;
-    if (!crashLoopWarned_) {
-        crashLoopWarned_ = true;
-        support::warn(support::strCat(
-            benchmark_.name(), ": ", sandbox_.crashedChildren(),
-            " crashed children reached --isolation-max-crashes; "
-            "failing further sandboxed attempts without forking"));
-    }
-    return true;
-}
-
-/**
- * Pool-worker job handler: runs inside a pre-forked worker child.
- *
- * Unlike the per-attempt fork path, prepare() must happen here, in the
- * worker — the workers forked at construction time and copy-on-write
- * only shares pages that existed then, so a RunPlan prepared later in
- * the parent would be invisible. The cost amortizes the same way it
- * does in the parent: CachedInput and the thread_local workspace stay
- * warm inside the long-lived worker across every job it serves.
- *
- * Exceptions (prepare failures, RefineDiverged) propagate out into the
- * WorkerPool trampoline, which reports kChildBodyThrew — the same
- * classification the fork path produces for a throwing child.
- */
-std::size_t
-BenchmarkTuner::poolChildRun(const void* job, std::size_t jobSize,
-                             void* result, std::size_t resultCapacity)
-{
-    HPCMIXP_ASSERT(resultCapacity >= sizeof(SandboxPayload),
-                   "pool result ring smaller than the payload");
-    PoolJobHeader header;
-    HPCMIXP_ASSERT(jobSize >= sizeof header, "torn pool job header");
-    std::memcpy(&header, job, sizeof header);
-    HPCMIXP_ASSERT(jobSize == sizeof header + header.keyLength,
-                   "pool job length mismatch");
-    const std::string key(
-        static_cast<const char*>(job) + sizeof header, header.keyLength);
-
-    support::WallTimer childTimer;
-    search::executeRawFault(
-        static_cast<search::RawFault>(header.rawFault));
-
-    const Config cfg = Config::fromString(key);
-    const bool refined = useRefinement(cfg);
-    PrecisionMap pm = precisionMapFor(cfg);
-    benchmarks::RunPlan plan = benchmark_.prepare(pm);
+    benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(cfg));
     runtime::RunWorkspace& ws = evalWorkspace();
-
-    benchmarks::RunOutput output;
-    std::size_t timedReps = std::max<std::size_t>(header.reps, 1);
+    const std::size_t timedReps = std::max<std::size_t>(reps, 1);
     std::vector<double> samples;
     samples.reserve(timedReps);
     for (std::size_t i = 0; i < timedReps; ++i) {
         support::WallTimer timer;
-        benchmarks::RunOutput repOutput =
-            executeForConfig(plan, ws, refined);
+        benchmarks::RunOutput repOutput = executeForConfig(plan, ws, refined);
         samples.push_back(timer.seconds());
         if (i == 0)
             output = std::move(repOutput);
     }
-
-    SandboxPayload payload;
-    payload.runtimeSeconds = support::trimmedMean(std::move(samples));
-    payload.stats =
-        verify::computeErrorStats(reference_, output.values);
-    verify::Verdict verdict =
-        comparator_.fusible()
-            ? comparator_.verifyStats(payload.stats)
-            : comparator_.verify(reference_, output.values);
-    payload.passed = verdict.passed ? 1 : 0;
-    payload.loss = verdict.loss;
-    payload.rawValue = verdict.rawValue;
-    payload.childWallSeconds = childTimer.seconds();
-    std::memcpy(result, &payload, sizeof payload);
-    return sizeof payload;
+    return support::trimmedMean(std::move(samples));
 }
 
 /**
- * One evaluation attempt dispatched to a persistent pool worker.
- *
- * Mirrors evaluateSandboxed() classification for classification —
- * clean-with-payload, thrown-and-contained, crashed, killed on
- * deadline, spawn-starved — so a campaign under --isolation=pool
- * publishes the same evaluations (and memo entries) the fork path
- * would, while paying a ring write instead of a fork per attempt
- * (DESIGN.md §15).
+ * One search evaluation's measurement: timeReps() plus verification of
+ * the first rep against the reference. Runs in this process or inside
+ * a sandbox worker, and throws as timeReps() does.
  */
-Evaluation
-BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
+BenchmarkTuner::SandboxPayload
+BenchmarkTuner::measure(const Config& cfg, std::size_t reps) const
 {
+    benchmarks::RunOutput output;
+    SandboxPayload payload;
+    payload.runtimeSeconds = timeReps(cfg, reps, output);
+    verify::Verdict verdict =
+        comparator_.verify(reference_, output.values);
+    payload.passed = verdict.passed ? 1 : 0;
+    payload.loss = verdict.loss;
+    return payload;
+}
+
+Evaluation
+BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
+                                      std::size_t reps)
+{
+    SandboxPayload payload;
+    support::PoolOutcome outcome;
+    if (!workerPool_) {
+        // In process, a thrown exception is reported exactly as a
+        // sandboxed job that threw.
+        try {
+            payload = measure(cfg, reps);
+            outcome.resultValid = true;
+        } catch (const std::exception&) {
+            outcome.exit = support::ChildExit::NonZeroExit;
+            outcome.detail = support::kChildBodyThrew;
+        }
+        return classify(outcome, payload);
+    }
+
+    // A raw fault drawn by FaultyProblem on this thread detonates
+    // inside the worker, never in the parent.
     const search::RawFault rawFault = search::takePendingRawFault();
-
-    Evaluation eval;
-    eval.status = EvalStatus::RuntimeFail;
-    eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-    eval.memoizable = false;
-
-    if (crashCutoffTripped())
-        return eval;
+    if (crashLoopCutoffReached())
+        return classify(std::nullopt, payload);
 
     const std::string key = cfg.toString();
     PoolJobHeader header;
@@ -695,64 +470,135 @@ BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
     std::vector<unsigned char> job(sizeof header + key.size());
     std::memcpy(job.data(), &header, sizeof header);
     std::memcpy(job.data() + sizeof header, key.data(), key.size());
+    outcome = workerPool_->run(job.data(), job.size(), &payload,
+                               sizeof payload,
+                               options_.resilience.deadlineSeconds);
+    return classify(outcome, payload);
+}
 
-    SandboxPayload payload;
-    support::PoolOutcome outcome = workerPool_->run(
-        job.data(), job.size(), &payload, sizeof payload,
-        options_.resilience.deadlineSeconds);
+/**
+ * Sandbox job handler: runs inside a worker child, one-job (isolation
+ * = fork) or persistent (isolation = pool).
+ *
+ * prepare() happens here, in the worker: a persistent worker forked at
+ * construction cannot see a RunPlan prepared later in the parent. It
+ * keeps CachedInput and the thread_local workspace warm across every
+ * job it serves; a one-job worker inherits the inputs the constructor
+ * converted at every rung.
+ *
+ * Exceptions (prepare failures, RefineDiverged) propagate out into the
+ * WorkerPool trampoline, which reports kChildBodyThrew.
+ */
+std::size_t
+BenchmarkTuner::serveJob(const void* job, std::size_t jobSize,
+                         void* result, std::size_t resultCapacity) const
+{
+    HPCMIXP_ASSERT(resultCapacity >= sizeof(SandboxPayload),
+                   "sandbox result ring smaller than the payload");
+    PoolJobHeader header;
+    HPCMIXP_ASSERT(jobSize >= sizeof header, "torn sandbox job header");
+    std::memcpy(&header, job, sizeof header);
+    HPCMIXP_ASSERT(jobSize == sizeof header + header.keyLength,
+                   "sandbox job length mismatch");
+    const std::string key(
+        static_cast<const char*>(job) + sizeof header, header.keyLength);
 
-    {
+    support::WallTimer childTimer;
+    search::executeRawFault(
+        static_cast<search::RawFault>(header.rawFault));
+    SandboxPayload payload = measure(Config::fromString(key), header.reps);
+    payload.childWallSeconds = childTimer.seconds();
+    std::memcpy(result, &payload, sizeof payload);
+    return sizeof payload;
+}
+
+/** True once crashed children reach --isolation-max-crashes. */
+bool
+BenchmarkTuner::crashLoopCutoffReached() const
+{
+    if (options_.isolationMaxCrashes == 0)
+        return false;
+    std::lock_guard<std::mutex> lock(sandboxMutex_);
+    return sandbox_.crashedChildren() >= options_.isolationMaxCrashes;
+}
+
+/**
+ * The one place an evaluation outcome becomes an Evaluation, in every
+ * isolation mode, and the one place SandboxStats are counted (only
+ * under isolation). @p outcome is empty when the crash-loop cutoff
+ * refused to dispatch the attempt.
+ *
+ * Anything but a clean, checksum-valid result maps to RuntimeFail for
+ * the ordinary retry/quarantine machinery (DESIGN.md §13). A job that
+ * threw is the failure the in-process path catches, so it stays
+ * memoizable for trajectory (and memo-content) identity across
+ * isolation modes; a crashed, killed, torn or cut-off attempt is never
+ * published to the memo. A deadline kill reports one deadline miss,
+ * exactly as a simulated straggler does.
+ */
+Evaluation
+BenchmarkTuner::classify(const std::optional<support::PoolOutcome>& outcome,
+                         const SandboxPayload& payload)
+{
+    using support::ChildExit;
+    const bool clean = outcome && outcome->exit == ChildExit::Clean &&
+                       outcome->resultValid;
+    if (workerPool_) {
         std::lock_guard<std::mutex> lock(sandboxMutex_);
-        switch (outcome.exit) {
-          case support::ChildExit::Clean:
-            if (outcome.resultValid) {
-                ++sandbox_.cleanExits;
-                spawnOverheadSum_ += std::max(
-                    0.0,
-                    outcome.wallSeconds - payload.childWallSeconds);
-            } else {
-                // Worker answered but the result record is torn:
-                // untrustworthy, same as a corrupt fork arena.
-                ++sandbox_.arenaCorrupt;
+        if (!outcome) {
+            ++sandbox_.fastFailed;
+            if (!crashLoopWarned_) {
+                crashLoopWarned_ = true;
+                support::warn(support::strCat(
+                    benchmark_.name(), ": ", sandbox_.crashedChildren(),
+                    " crashed children reached --isolation-max-crashes; "
+                    "failing further sandboxed attempts without forking"));
             }
-            break;
-          case support::ChildExit::NonZeroExit:
-            ++sandbox_.nonZeroExits;
-            break;
-          case support::ChildExit::Signaled:
-            ++sandbox_.signaled;
-            break;
-          case support::ChildExit::KilledOnDeadline:
-            ++sandbox_.killedOnDeadline;
-            break;
-          case support::ChildExit::SpawnFailed:
-            ++sandbox_.spawnFailed;
-            break;
+        } else {
+            switch (outcome->exit) {
+              case ChildExit::Clean:
+                if (clean) {
+                    ++sandbox_.cleanExits;
+                    spawnOverheadSum_ += std::max(
+                        0.0,
+                        outcome->wallSeconds - payload.childWallSeconds);
+                } else {
+                    // Answered without a checksum-valid result record:
+                    // untrustworthy.
+                    ++sandbox_.arenaCorrupt;
+                }
+                break;
+              case ChildExit::NonZeroExit:
+                ++sandbox_.nonZeroExits;
+                break;
+              case ChildExit::Signaled:
+                ++sandbox_.signaled;
+                break;
+              case ChildExit::KilledOnDeadline:
+                ++sandbox_.killedOnDeadline;
+                break;
+              case ChildExit::SpawnFailed:
+                ++sandbox_.spawnFailed;
+                break;
+            }
         }
     }
 
-    if (outcome.exit == support::ChildExit::KilledOnDeadline) {
-        eval.deadlineMiss = true;
+    Evaluation eval;
+    if (clean) {
+        eval.runtimeSeconds = payload.runtimeSeconds;
+        eval.speedup = baselineSeconds_ / payload.runtimeSeconds;
+        eval.qualityLoss = payload.loss;
+        eval.status = payload.passed != 0 ? EvalStatus::Pass
+                                          : EvalStatus::QualityFail;
         return eval;
     }
-    if (outcome.exit == support::ChildExit::NonZeroExit &&
-        outcome.detail == support::kChildBodyThrew) {
-        // The handler threw and the worker trampoline contained it —
-        // the worker itself lives on. Memoizable for trajectory and
-        // memo-content identity with fork and in-process evaluation.
-        eval.memoizable = true;
-        return eval;
-    }
-    if (outcome.exit != support::ChildExit::Clean ||
-        !outcome.resultValid)
-        return eval; // crashed / signaled / torn: quarantine fodder
-
-    eval.memoizable = true;
-    eval.runtimeSeconds = payload.runtimeSeconds;
-    eval.speedup = baselineSeconds_ / payload.runtimeSeconds;
-    eval.qualityLoss = payload.loss;
-    eval.status = payload.passed != 0 ? EvalStatus::Pass
-                                      : EvalStatus::QualityFail;
+    eval.status = EvalStatus::RuntimeFail;
+    eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
+    eval.memoizable = outcome && outcome->exit == ChildExit::NonZeroExit &&
+                      outcome->detail == support::kChildBodyThrew;
+    eval.deadlineMiss =
+        outcome && outcome->exit == ChildExit::KilledOnDeadline;
     return eval;
 }
 
@@ -773,12 +619,14 @@ BenchmarkTuner::sandboxStats() const
             ? spawnOverheadSum_ / static_cast<double>(stats.cleanExits)
             : 0.0;
     if (workerPool_) {
-        // Pool-mode bookkeeping lives in the pool itself; fold it in
-        // so `forks` keeps meaning "fork() calls" across modes.
+        // Fork bookkeeping lives in the pool itself; fold it in so
+        // `forks` means "fork() calls" in both sandboxed modes.
         support::WorkerPoolStats pool = workerPool_->stats();
         stats.forks = pool.forks;
-        stats.poolDispatches = pool.dispatched;
-        stats.workerRespawns = pool.respawns;
+        if (options_.isolation == support::IsolationMode::Pool) {
+            stats.poolDispatches = pool.dispatched;
+            stats.workerRespawns = pool.respawns;
+        }
     }
     return stats;
 }

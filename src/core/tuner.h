@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,12 +32,9 @@
 #include "search/portfolio.h"
 #include "search/problem.h"
 #include "support/subprocess.h"
+#include "support/worker_pool.h"
 #include "typeforge/clustering.h"
 #include "verify/comparator.h"
-
-namespace hpcmixp::support {
-class WorkerPool;
-} // namespace hpcmixp::support
 
 namespace hpcmixp::core {
 
@@ -114,23 +112,23 @@ struct TunerOptions {
 
     /**
      * Where each search evaluation attempt executes (harness
-     * --isolation): in this process, in a forked child per attempt
-     * so a configuration that SIGSEGVs, aborts or hangs is contained
-     * and quarantined instead of killing the tuner (DESIGN.md §13),
-     * or on a persistent pre-forked worker pool that amortizes the
-     * spawn cost across the whole campaign (DESIGN.md §15).
-     * Final measurements always run in-process — only configurations
-     * that already survived the sandbox reach them.
+     * --isolation): in this process, or on a support::WorkerPool
+     * worker so a configuration that SIGSEGVs, aborts or hangs is
+     * contained and quarantined instead of killing the tuner. Fork
+     * runs each attempt on a fresh worker that serves that one job
+     * (DESIGN.md §13); Pool runs it on a persistent pre-forked worker
+     * that amortizes the spawn cost across the whole campaign
+     * (DESIGN.md §15). Final measurements always run in-process —
+     * only configurations that already survived the sandbox reach
+     * them.
      */
     support::IsolationMode isolation = support::IsolationMode::None;
 
     /**
      * Crash-loop cutoff (harness --isolation-max-crashes): once this
      * many children have crashed or been killed, further sandboxed
-     * attempts fail fast without forking. 0 = unlimited. Under
-     * isolation = Pool this also caps worker re-forks: each dead
-     * worker is re-forked, but once the cutoff trips no further jobs
-     * are dispatched.
+     * attempts fail fast without being dispatched to a worker (so
+     * without forking one under isolation = Fork). 0 = unlimited.
      */
     std::size_t isolationMaxCrashes = 0;
 
@@ -143,32 +141,34 @@ struct TunerOptions {
 };
 
 /**
- * Sandboxed-evaluation accounting (isolation = Fork); all zero under
- * in-process evaluation. Child deaths are classified by exit class —
- * each nonzero-exit / signaled / killed / corrupt child surfaced to
- * the search layer as a RuntimeFail and fed the ordinary
+ * Sandboxed-evaluation accounting (isolation = Fork or Pool); all
+ * zero under in-process evaluation. Child deaths are classified by
+ * exit class — each nonzero-exit / signaled / killed / corrupt child
+ * surfaced to the search layer as a RuntimeFail and fed the ordinary
  * retry-then-quarantine machinery.
  */
 struct SandboxStats {
-    std::size_t forks = 0;            ///< children spawned
-    std::size_t cleanExits = 0;       ///< _exit(0) with a valid arena
+    std::size_t forks = 0;            ///< fork() calls (spawn + respawn)
+    std::size_t cleanExits = 0;       ///< jobs with a valid result
     std::size_t nonZeroExits = 0;     ///< exited with a nonzero code
     std::size_t signaled = 0;         ///< died by signal (SIGSEGV, abort)
     std::size_t killedOnDeadline = 0; ///< SIGKILLed by the parent
-    std::size_t arenaCorrupt = 0;     ///< exited 0 but tore the arena
+    std::size_t arenaCorrupt = 0;     ///< answered with a torn result
     std::size_t spawnFailed = 0;      ///< fork() itself failed
     std::size_t fastFailed = 0;       ///< crash-loop cutoff short-circuits
 
     /// Pool-mode extras (isolation = Pool); zero otherwise. Under the
-    /// pool, `forks` counts actual fork() calls (initial spawn plus
-    /// respawns) while dispatches counts jobs served over the rings.
+    /// pool, `forks` counts the initial spawns plus respawns while
+    /// dispatches counts jobs served over the rings; under Fork every
+    /// job has a worker to itself, so `forks` counts the jobs.
     std::size_t poolDispatches = 0;   ///< jobs handed to pool workers
     std::size_t workerRespawns = 0;   ///< workers re-forked after a death
 
-    /** Mean fork+reap overhead per clean child (parent wall clock
-     *  minus child-side execution wall clock). Under isolation = Pool
-     *  this is the per-job dispatch overhead (ring write + doorbell +
-     *  result read), the number the spawn-amortization bench gates. */
+    /** Mean sandbox overhead per clean job: parent wall clock minus
+     *  the worker-side wall clock of the job. Under isolation = Fork
+     *  that is fork + dispatch + reap; under isolation = Pool it is
+     *  the per-job dispatch overhead (ring write + doorbell + result
+     *  read). The spawn-amortization bench gates their ratio. */
     double spawnOverheadMeanSeconds = 0.0;
 
     /** Children that produced no usable result. */
@@ -294,7 +294,7 @@ class BenchmarkTuner {
     runOptionsFor(search::Granularity granularity);
 
     /** Evaluate one cluster configuration with @p reps timing reps.
-     *  Runs in a forked child under isolation = Fork. */
+     *  Runs on a sandbox worker under isolation = Fork or Pool. */
     search::Evaluation evaluateClusterConfig(const search::Config& cfg,
                                              std::size_t reps);
 
@@ -302,9 +302,10 @@ class BenchmarkTuner {
      *  isolation = None). */
     SandboxStats sandboxStats() const;
 
-    /** Pids of the live pool workers (isolation = Pool; empty
-     *  otherwise, -1 for a currently dead slot). Exposed so tests can
-     *  kill a worker mid-campaign and watch the pool recover. */
+    /** Pids of the sandbox workers by slot; -1 for a slot with no
+     *  live worker (every slot between jobs under isolation = Fork),
+     *  empty under isolation = None. Exposed so tests can kill a pool
+     *  worker mid-campaign and watch the pool recover. */
     std::vector<pid_t> poolWorkerPids() const;
 
     /**
@@ -360,25 +361,27 @@ class BenchmarkTuner {
   private:
     class ClusterProblem;
     class VariableProblem;
+    struct SandboxPayload;
 
     void buildStructure();
     void runBaseline();
-    bool isVarLowered(const search::Config& varCfg,
-                      model::VarId var) const;
     std::uint8_t varLevel(const search::Config& varCfg,
                           model::VarId var) const;
     bool useRefinement(const search::Config& cfg) const;
     benchmarks::RunOutput executeForConfig(
         const benchmarks::RunPlan& plan, runtime::RunWorkspace& ws,
         bool refined) const;
-    search::Evaluation evaluateSandboxed(const search::Config& cfg,
-                                         std::size_t reps);
-    search::Evaluation evaluatePooled(const search::Config& cfg,
-                                      std::size_t reps);
-    /** WorkerPool job handler; runs inside a pool worker child. */
-    std::size_t poolChildRun(const void* job, std::size_t jobSize,
-                             void* result, std::size_t resultCapacity);
-    bool crashCutoffTripped();
+    double timeReps(const search::Config& cfg, std::size_t reps,
+                    benchmarks::RunOutput& output) const;
+    SandboxPayload measure(const search::Config& cfg,
+                           std::size_t reps) const;
+    /** WorkerPool job handler; runs inside a sandbox worker child. */
+    std::size_t serveJob(const void* job, std::size_t jobSize,
+                         void* result, std::size_t resultCapacity) const;
+    bool crashLoopCutoffReached() const;
+    search::Evaluation
+    classify(const std::optional<support::PoolOutcome>& outcome,
+             const SandboxPayload& payload);
 
     const benchmarks::Benchmark& benchmark_;
     TunerOptions options_;
@@ -400,10 +403,11 @@ class BenchmarkTuner {
     double spawnOverheadSum_ = 0.0;
     bool crashLoopWarned_ = false;
 
-    /// Pre-forked sandbox workers (isolation = Pool). Created eagerly
-    /// in the constructor — after the baseline, so workers inherit the
-    /// reference output and warmed input caches — and held for the
-    /// tuner's lifetime, so the process fd count is campaign-constant.
+    /// Sandbox workers (isolation = Fork or Pool; null under None).
+    /// Created in the constructor — after the baseline, so workers
+    /// inherit the reference output and warmed input caches — and held
+    /// for the tuner's lifetime, so the process fd count is
+    /// campaign-constant.
     std::unique_ptr<support::WorkerPool> workerPool_;
 };
 

@@ -114,7 +114,8 @@ FaultyProblem::FaultyProblem(SearchProblem& inner, FaultPlan plan)
     if (plan.rawEnabled() && !plan.sandboxed)
         support::fatal(
             "raw fault injection (--fault-raw-*) genuinely kills the "
-            "evaluating process; it requires --isolation=fork");
+            "evaluating process; it requires --isolation=fork or "
+            "--isolation=pool");
 }
 
 Evaluation

@@ -41,7 +41,7 @@ struct FaultPlan {
      * Raw (process-killing) fault rates. Unlike the simulated kinds
      * above, these make the evaluation attempt genuinely abort(),
      * spin forever, or write through a wild pointer — they are only
-     * legal when evaluations run in forked children (sandboxed below),
+     * legal when evaluations run in sandbox workers (sandboxed below),
      * where the parent contains and classifies the death.
      */
     double rawCrashRate = 0.0; ///< child abort()
@@ -50,7 +50,7 @@ struct FaultPlan {
 
     /**
      * Set by the tuner when evaluations execute under
-     * --isolation=fork. Constructing a FaultyProblem with raw rates
+     * --isolation=fork or --isolation=pool. Constructing a FaultyProblem with raw rates
      * but without this flag is a recoverable configuration error.
      */
     bool sandboxed = false;

@@ -1,19 +1,12 @@
 #include "support/subprocess.h"
 
-#include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <csignal>
 
-#include <poll.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "support/logging.h"
-#include "support/retry.h"
-#include "support/timer.h"
 
 namespace hpcmixp::support {
 
@@ -61,114 +54,6 @@ childExitName(ChildExit exit)
       case ChildExit::SpawnFailed: return "spawn_failed";
     }
     panic("unreachable child exit class");
-}
-
-ChildOutcome
-runInFork(const std::function<void()>& body, double deadlineSeconds)
-{
-    WallTimer timer;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ChildOutcome out;
-        out.exit = ChildExit::SpawnFailed;
-        out.detail = errno;
-        out.wallSeconds = timer.seconds();
-        return out;
-    }
-    if (pid == 0) {
-        // _exit (never exit): no atexit handlers, no flushing of stdio
-        // buffers copied from the parent.
-        try {
-            body();
-        } catch (...) {
-            ::_exit(kChildBodyThrew);
-        }
-        ::_exit(0);
-    }
-
-    // Without a deadline there is nothing to poll for: block in
-    // waitpid and pay zero wakeup-lag on top of the child's own wall
-    // time. With one, sleep in ppoll() on a pidfd, which becomes
-    // readable exactly when the child exits: the parent wakes at most
-    // twice (deadline, then death) and burns no CPU while an
-    // in-deadline child runs. On a kernel without pidfd_open the old
-    // WNOHANG reap loop remains as the fallback, with its backoff
-    // floor raised so the near-deadline tail no longer busy-polls.
-    int status = 0;
-    bool killed = false;
-    const bool blocking = deadlineSeconds <= 0.0;
-    const int pidfd = blocking ? -1 : pidfdOpen(pid);
-    if (pidfd >= 0) {
-        for (;;) {
-            const double remaining = deadlineSeconds - timer.seconds();
-            if (!killed && remaining <= 0.0) {
-                ::kill(pid, SIGKILL);
-                killed = true;
-                continue; // wait (forever) for the corpse to show
-            }
-            struct pollfd pfd = {pidfd, POLLIN, 0};
-            struct timespec ts;
-            ts.tv_sec = static_cast<time_t>(remaining);
-            ts.tv_nsec = static_cast<long>(
-                (remaining - std::floor(remaining)) * 1e9);
-            const int rc =
-                ::ppoll(&pfd, 1, killed ? nullptr : &ts, nullptr);
-            if (rc < 0) {
-                if (errno == EINTR) continue;
-                panic(strCat("ppoll(pidfd of ", pid,
-                             ") failed: errno=", errno));
-            }
-            if (rc > 0)
-                break; // child exited; waitpid below reaps instantly
-        }
-        ::close(pidfd);
-        while (::waitpid(pid, &status, 0) < 0) {
-            if (errno != EINTR)
-                panic(strCat("waitpid(", pid,
-                             ") failed: errno=", errno));
-        }
-    } else {
-        double pollSeconds = 200e-6;
-        for (;;) {
-            const pid_t reaped =
-                ::waitpid(pid, &status, blocking || killed ? 0 : WNOHANG);
-            if (reaped == pid) break;
-            if (reaped < 0) {
-                if (errno == EINTR) continue;
-                panic(strCat("waitpid(", pid, ") failed: errno=", errno));
-            }
-            const double remaining = deadlineSeconds - timer.seconds();
-            if (!killed && remaining <= 0.0) {
-                ::kill(pid, SIGKILL);
-                killed = true;
-                continue; // blocking waitpid reaps the corpse
-            }
-            sleepForSeconds(std::min(pollSeconds, remaining));
-            if (pollSeconds < 2e-3) pollSeconds *= 2;
-        }
-    }
-
-    ChildOutcome out;
-    out.wallSeconds = timer.seconds();
-    if (killed) {
-        // Even if the child slipped an _exit(0) in before the SIGKILL
-        // landed, the deadline had passed: the result is void.
-        out.exit = ChildExit::KilledOnDeadline;
-        out.detail = SIGKILL;
-        return out;
-    }
-    if (WIFEXITED(status)) {
-        const int code = WEXITSTATUS(status);
-        out.exit = code == 0 ? ChildExit::Clean : ChildExit::NonZeroExit;
-        out.detail = code;
-        return out;
-    }
-    if (WIFSIGNALED(status)) {
-        out.exit = ChildExit::Signaled;
-        out.detail = WTERMSIG(status);
-        return out;
-    }
-    panic(strCat("unexpected waitpid status ", status));
 }
 
 } // namespace hpcmixp::support

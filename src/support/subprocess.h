@@ -3,29 +3,12 @@
 
 /**
  * @file
- * Fork-based sandbox execution (DESIGN.md, Section 13).
- *
- * runInFork() runs a callable in a forked child process and reaps it,
- * so a body that SIGSEGVs, aborts, spins forever or exits nonzero is
- * contained: the parent observes a classified ChildOutcome instead of
- * dying with the child. The parent enforces an optional wall-clock
- * deadline for real — a child still running when it expires is
- * SIGKILLed and reported as KilledOnDeadline.
- *
- * The child communicates results back through side channels prepared
- * *before* the fork (see ShmArena); runInFork itself only transports
- * control flow. The child never returns from runInFork: its body runs
- * to completion and the child _exit()s (no atexit handlers, no stdio
- * flush of buffers inherited from the parent), or it dies by signal.
- *
- * fork() without exec() means the child shares the parent's address
- * space copy-on-write: prepared inputs are inherited for free, and no
- * file descriptors are created by the mechanism itself, so repeated
- * sandboxed evaluations cannot leak fds. Every child is reaped with
- * waitpid() before runInFork returns — no zombies survive it.
+ * Sandbox vocabulary shared by the isolation modes (DESIGN.md,
+ * Sections 13 and 15): which mode runs an evaluation, how a sandboxed
+ * child terminated, and the pidfd helper the WorkerPool waits on.
+ * The sandbox itself is support::WorkerPool.
  */
 
-#include <functional>
 #include <string>
 
 #include <sys/types.h>
@@ -35,8 +18,8 @@ namespace hpcmixp::support {
 /** Where an evaluation attempt executes (harness --isolation). */
 enum class IsolationMode {
     None, ///< in the tuner process (the historical behavior)
-    Fork, ///< in a forked child per attempt, crash-contained
-    Pool, ///< on a persistent pre-forked worker (see WorkerPool)
+    Fork, ///< in a fresh one-job WorkerPool worker per attempt
+    Pool, ///< on a persistent pre-forked WorkerPool worker
 };
 
 /** Parse "none" / "fork" / "pool"; throws FatalError on anything else. */
@@ -57,19 +40,7 @@ enum class ChildExit {
 /** Canonical name of a ChildExit ("clean", "nonzero_exit", ...). */
 const char* childExitName(ChildExit exit);
 
-/** Classified, reaped outcome of one runInFork() call. */
-struct ChildOutcome {
-    ChildExit exit = ChildExit::Clean;
-
-    /** Exit code (NonZeroExit), terminating signal number (Signaled),
-     *  or errno (SpawnFailed); 0 otherwise. */
-    int detail = 0;
-
-    /** Parent-side wall clock from fork() to reap. */
-    double wallSeconds = 0.0;
-};
-
-/** Exit code used by runInFork's child when @p body throws. */
+/** Exit status a sandboxed child reports when its job throws. */
 inline constexpr int kChildBodyThrew = 61;
 
 /**
@@ -79,16 +50,6 @@ inline constexpr int kChildBodyThrew = 61;
  * deadline — no reap-poll wakeups. The caller owns the descriptor.
  */
 int pidfdOpen(pid_t pid);
-
-/**
- * Run @p body in a forked child and reap it.
- *
- * @p deadlineSeconds > 0 arms the kill-on-deadline timer; <= 0 waits
- * forever. The call blocks until the child is reaped (at most the
- * deadline plus one reap), and never leaves a zombie behind.
- */
-ChildOutcome runInFork(const std::function<void()>& body,
-                       double deadlineSeconds);
 
 } // namespace hpcmixp::support
 

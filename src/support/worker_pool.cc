@@ -90,8 +90,10 @@ struct WorkerPool::Worker {
 };
 
 WorkerPool::WorkerPool(std::size_t workers, std::size_t jobCapacity,
-                       std::size_t resultCapacity, Handler handler)
+                       std::size_t resultCapacity, Handler handler,
+                       WorkerLifetime lifetime)
     : handler_(std::move(handler)),
+      lifetime_(lifetime),
       jobCapacity_(jobCapacity),
       resultCapacity_(resultCapacity)
 {
@@ -116,9 +118,11 @@ WorkerPool::WorkerPool(std::size_t workers, std::size_t jobCapacity,
     // inherits all of its slot's machinery (and only ever touches its
     // own). A spawn failure here is not fatal: the slot retries on its
     // first dispatch and run() degrades to SpawnFailed only when no
-    // slot can be brought up at all.
-    for (auto& w : workers_)
-        spawnLocked(*w);
+    // slot can be brought up at all. One-job slots stay empty until a
+    // job acquires them.
+    if (lifetime_ == WorkerLifetime::Persistent)
+        for (auto& w : workers_)
+            spawnLocked(*w);
 }
 
 WorkerPool::~WorkerPool()
@@ -159,9 +163,10 @@ WorkerPool::spawnLocked(Worker& w)
     }
     if (pid == 0) {
         // Worker loop: block on the job doorbell, run the handler on
-        // the committed job, commit [status | result] and ring back.
-        // _exit discipline as in runInFork — no atexit handlers, no
-        // stdio flush of buffers inherited from the parent.
+        // the committed job, commit [status | result] and ring back; a
+        // one-job worker then exits. _exit, never exit: no atexit
+        // handlers, no stdio flush of buffers inherited from the
+        // parent.
         std::vector<unsigned char> job(sizeof(std::uint32_t) +
                                        jobCapacity_);
         std::vector<unsigned char> result(sizeof(std::uint32_t) +
@@ -195,6 +200,8 @@ WorkerPool::spawnLocked(Worker& w)
             std::memcpy(result.data(), &status, sizeof status);
             w.resultRing->commit(result.data(), sizeof status + written);
             writeDoorbell(w.doneFd);
+            if (lifetime_ == WorkerLifetime::OneJob)
+                ::_exit(0);
         }
     }
 
@@ -251,9 +258,10 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
 
     // Acquire the lowest-indexed free worker; lowest-index-first keeps
     // a serial dispatcher's worker choice deterministic (tests rely on
-    // "kill pids[0], the next dispatch hits it"). A dead slot is
-    // respawned at acquire time, so one failed re-fork never bricks
-    // the slot for the rest of the campaign.
+    // "kill pids[0], the next dispatch hits it"). An empty slot is
+    // (re)spawned at acquire time: that is where one-job workers are
+    // born, and one failed re-fork never bricks a persistent slot for
+    // the rest of the campaign.
     Worker* w = nullptr;
     {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -304,7 +312,6 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
     // is a committed result even if the worker died a microsecond
     // later (the checksum protocol rejects torn ones regardless).
     bool done = false;
-    bool died = false;
     bool killed = false;
     for (;;) {
         struct pollfd pfds[2];
@@ -325,10 +332,8 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
         if (nfds == 1) {
             // No pidfd on this kernel: a worker death cannot wake the
             // poll, so probe for one on a bounded cadence instead.
-            if (::waitpid(w->pid, nullptr, WNOHANG | WNOWAIT) > 0) {
-                died = true;
-                break;
-            }
+            if (::waitpid(w->pid, nullptr, WNOHANG | WNOWAIT) > 0)
+                break; // died
             if (timeoutMs < 0 || timeoutMs > 20)
                 timeoutMs = 20;
         }
@@ -345,13 +350,13 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
             done = true;
             break;
         }
-        if (nfds == 2 && (pfds[1].revents & (POLLIN | POLLERR)) != 0) {
-            died = true;
-            break;
-        }
+        if (nfds == 2 && (pfds[1].revents & (POLLIN | POLLERR)) != 0)
+            break; // died
     }
 
-    if (done && !killed) {
+    const bool oneJob = lifetime_ == WorkerLifetime::OneJob;
+    const bool served = done && !killed;
+    if (served) {
         // Drain the doorbell and unwrap [status | result bytes].
         readDoorbell(w->doneFd);
         const std::size_t bytes = w->resultRing->payloadSize();
@@ -369,45 +374,51 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
             }
         }
         if (status != 0) {
-            // The handler threw; the worker contained it and lives on.
+            // The handler threw; the worker contained it.
             out.exit = ChildExit::NonZeroExit;
             out.detail = static_cast<int>(status);
         } else {
             out.exit = ChildExit::Clean;
         }
-        out.wallSeconds = timer.seconds();
-        std::lock_guard<std::mutex> lock(mutex_);
-        w->busy = false;
-        freeCv_.notify_one();
-        return out;
-    }
-
-    // The worker died (by its own hand or our deadline SIGKILL): reap,
-    // classify with the runInFork taxonomy, and re-fork the slot.
-    int wstatus = 0;
-    while (::waitpid(w->pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-    if (killed) {
-        out.exit = ChildExit::KilledOnDeadline;
-        out.detail = SIGKILL;
-    } else if (WIFEXITED(wstatus)) {
-        out.exit = ChildExit::NonZeroExit;
-        out.detail = WEXITSTATUS(wstatus);
-    } else if (WIFSIGNALED(wstatus)) {
-        out.exit = ChildExit::Signaled;
-        out.detail = WTERMSIG(wstatus);
+        // A one-job worker exits right after its done kick: reap it
+        // here so no zombie outlives run().
+        if (oneJob)
+            while (::waitpid(w->pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
     } else {
-        panic(strCat("unexpected waitpid status ", wstatus,
-                     " for sandbox worker"));
+        // The worker died (by its own hand or our deadline SIGKILL):
+        // reap and classify.
+        int wstatus = 0;
+        while (::waitpid(w->pid, &wstatus, 0) < 0 && errno == EINTR) {
+        }
+        if (killed) {
+            out.exit = ChildExit::KilledOnDeadline;
+            out.detail = SIGKILL;
+        } else if (WIFEXITED(wstatus)) {
+            out.exit = ChildExit::NonZeroExit;
+            out.detail = WEXITSTATUS(wstatus);
+        } else if (WIFSIGNALED(wstatus)) {
+            out.exit = ChildExit::Signaled;
+            out.detail = WTERMSIG(wstatus);
+        } else {
+            panic(strCat("unexpected waitpid status ", wstatus,
+                         " for sandbox worker"));
+        }
     }
-    (void)died;
     out.wallSeconds = timer.seconds();
 
     std::lock_guard<std::mutex> lock(mutex_);
-    w->alive = false;
-    w->pid = -1;
-    ++stats_.respawns;
-    spawnLocked(*w); // failure leaves the slot for acquire-time retry
+    if (!served || oneJob) {
+        w->alive = false;
+        w->pid = -1;
+        closeFd(w->pidFd);
+    }
+    if (!served && !oneJob) {
+        // Re-fork the persistent slot; a failure leaves it for
+        // acquire-time retry.
+        ++stats_.respawns;
+        spawnLocked(*w);
+    }
     w->busy = false;
     freeCv_.notify_one();
     return out;

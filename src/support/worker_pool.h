@@ -3,15 +3,23 @@
 
 /**
  * @file
- * Persistent pre-forked sandbox worker pool (DESIGN.md, Section 15).
+ * Pre-forked sandbox worker pool (DESIGN.md, Sections 13 and 15).
  *
- * Where runInFork() pays a fresh fork()+copy-on-write fault storm per
- * evaluation, a WorkerPool forks N long-lived children once, at
- * campaign start, and feeds them over per-worker shared-memory job
- * rings. One evaluation then costs a ring write plus an eventfd
- * doorbell kick instead of a process spawn, and each worker keeps its
- * process-local caches (prepared inputs, thread-local workspaces) warm
- * across the evaluations it serves.
+ * A WorkerPool runs a handler in forked children fed over per-worker
+ * shared-memory job rings, so a handler that SIGSEGVs, aborts, spins
+ * forever or exits is contained: the parent observes a classified
+ * PoolOutcome instead of dying with the child. Workers come in two
+ * lifetimes, chosen at construction:
+ *
+ *  - Persistent (isolation = pool): N long-lived children are forked
+ *    once, in the constructor. One job then costs a ring write plus an
+ *    eventfd doorbell kick instead of a process spawn, and each worker
+ *    keeps its process-local caches (prepared inputs, thread-local
+ *    workspaces) warm across the jobs it serves.
+ *  - OneJob (isolation = fork): a worker is forked when a job acquires
+ *    its slot, serves that one job and exits, and the parent reaps it
+ *    before run() returns. Every job runs in a fresh process that sees
+ *    the parent's memory as of the dispatch.
  *
  * Per worker the parent owns:
  *
@@ -27,13 +35,16 @@
  * complete checksummed message or nothing, never a torn one.
  *
  * A handler that crashes, spins past the deadline or _exit()s takes
- * only its worker with it: the parent classifies the death with the
- * runInFork ChildExit taxonomy, reaps the corpse, and re-forks a fresh
- * worker on the same rings and doorbells (the shared mappings and
- * parent-side eventfds survive the child), so the pool's file
- * descriptor count is constant for the life of the pool. A handler
- * that merely throws is contained in-worker (status kChildBodyThrew)
- * and the worker keeps serving.
+ * only its worker with it: the parent kills it on the deadline,
+ * classifies the death with the ChildExit taxonomy and reaps the
+ * corpse. A persistent slot is re-forked at once on the same rings and
+ * doorbells (the shared mappings and parent-side eventfds survive the
+ * child), so the pool's file descriptor count is constant for the life
+ * of the pool; a one-job slot is forked again by the next job that
+ * acquires it. A handler that merely throws is contained in-worker
+ * (status kChildBodyThrew), and a persistent worker keeps serving.
+ * Workers _exit() — never exit() — so no atexit handlers run and no
+ * stdio buffers inherited from the parent are flushed twice.
  *
  * run() hands each job to the lowest-indexed free worker, which keeps
  * dispatch order deterministic for single-threaded submitters; callers
@@ -54,16 +65,23 @@
 
 namespace hpcmixp::support {
 
+/** How long a WorkerPool worker lives. */
+enum class WorkerLifetime {
+    Persistent, ///< forked up front, serves jobs until the pool stops
+    OneJob,     ///< forked when a job acquires it, exits after that job
+};
+
 /** Classified outcome of one WorkerPool::run() dispatch. */
 struct PoolOutcome {
-    /** Reuses the runInFork taxonomy: Clean means the worker committed
-     *  a result envelope and kept running; NonZeroExit with detail
-     *  kChildBodyThrew means the handler threw (contained in-worker);
-     *  other NonZeroExit / Signaled / KilledOnDeadline / SpawnFailed
-     *  mean the worker died serving this job and was re-forked. */
+    /** Clean means the worker committed a result envelope; NonZeroExit
+     *  with detail kChildBodyThrew means the handler threw (contained
+     *  in-worker); other NonZeroExit / Signaled / KilledOnDeadline /
+     *  SpawnFailed mean the worker died serving this job (or could not
+     *  be forked at all). */
     ChildExit exit = ChildExit::Clean;
 
-    /** Exit code, terminating signal, or errno — as in ChildOutcome. */
+    /** Exit code (NonZeroExit), terminating signal number (Signaled,
+     *  KilledOnDeadline), or errno (SpawnFailed); 0 otherwise. */
     int detail = 0;
 
     /** Parent wall clock from dispatch to classified completion. */
@@ -76,13 +94,13 @@ struct PoolOutcome {
 
 /** Pool-lifetime accounting. */
 struct WorkerPoolStats {
-    std::size_t forks = 0;      ///< fork() calls: initial spawn + respawns
+    std::size_t forks = 0;      ///< fork() calls: spawns + respawns
     std::size_t dispatched = 0; ///< jobs handed to a worker
-    std::size_t respawns = 0;   ///< workers re-forked after a death
+    std::size_t respawns = 0;   ///< persistent workers re-forked after a death
     std::size_t spawnFailures = 0; ///< fork() failures (spawn or respawn)
 };
 
-/** N pre-forked sandbox workers fed over shared-memory job rings. */
+/** N sandbox worker slots fed over shared-memory job rings. */
 class WorkerPool {
   public:
     /**
@@ -90,21 +108,24 @@ class WorkerPool {
      * bytes, writes up to @p resultCapacity result bytes into
      * @p result and returns how many it wrote. A thrown exception is
      * contained in-worker and surfaces to run() as NonZeroExit with
-     * detail kChildBodyThrew. Anything the handler touches must have
-     * existed before the pool was constructed: workers are forked in
-     * the constructor and never see parent memory created afterwards.
+     * detail kChildBodyThrew. A persistent worker is forked in the
+     * constructor and never sees parent memory created afterwards, so
+     * anything its handler touches must exist by then; a one-job
+     * worker sees the parent's memory as of the dispatch.
      */
     using Handler = std::function<std::size_t(
         const void* job, std::size_t jobSize, void* result,
         std::size_t resultCapacity)>;
 
     /**
-     * Fork @p workers children ready to run @p handler on jobs of up
-     * to @p jobCapacity bytes producing up to @p resultCapacity result
-     * bytes. @p workers must be >= 1.
+     * Set up @p workers slots ready to run @p handler on jobs of up to
+     * @p jobCapacity bytes producing up to @p resultCapacity result
+     * bytes. @p workers must be >= 1. Persistent workers are forked
+     * here; one-job workers are forked by run().
      */
     WorkerPool(std::size_t workers, std::size_t jobCapacity,
-               std::size_t resultCapacity, Handler handler);
+               std::size_t resultCapacity, Handler handler,
+               WorkerLifetime lifetime = WorkerLifetime::Persistent);
 
     /** Stops every worker (stop op + doorbell, SIGKILL stragglers),
      *  reaps them all and closes every descriptor. */
@@ -116,13 +137,15 @@ class WorkerPool {
     /**
      * Dispatch one job and block until it completes, the worker dies,
      * or @p deadlineSeconds expires (<= 0 waits forever; on expiry the
-     * worker is SIGKILLed and reported KilledOnDeadline, like
-     * runInFork). On Clean completion the handler's result is copied
-     * into @p result when its size is exactly @p resultSize —
-     * resultValid says whether it was. A dead worker is reaped,
-     * classified and re-forked before run() returns; if the re-fork
-     * fails the next dispatch retries it, and only when no worker can
-     * be (re)spawned at all does run() report SpawnFailed.
+     * worker is SIGKILLed and reported KilledOnDeadline). On Clean
+     * completion the handler's result is copied into @p result when
+     * its size is exactly @p resultSize — resultValid says whether it
+     * was. A worker that died or served its one job is reaped before
+     * run() returns, and a dead persistent worker is re-forked; a slot
+     * whose fork fails is retried by the next dispatch, and only when
+     * no worker can be spawned at all does run() report SpawnFailed.
+     * The parent sleeps in poll() throughout: waiting on a slow job
+     * burns no CPU.
      */
     PoolOutcome run(const void* job, std::size_t jobSize, void* result,
                     std::size_t resultSize, double deadlineSeconds);
@@ -133,8 +156,8 @@ class WorkerPool {
     /** Snapshot of the pool-lifetime accounting. */
     WorkerPoolStats stats() const;
 
-    /** Current worker pids, by slot; -1 for a slot whose respawn
-     *  failed. For tests that kill a worker mid-campaign. */
+    /** Current worker pids, by slot; -1 for a slot with no live
+     *  worker. For tests that kill a worker mid-campaign. */
     std::vector<pid_t> workerPids() const;
 
   private:
@@ -145,6 +168,7 @@ class WorkerPool {
 
     std::vector<std::unique_ptr<Worker>> workers_;
     Handler handler_;
+    WorkerLifetime lifetime_;
     std::size_t jobCapacity_ = 0;
     std::size_t resultCapacity_ = 0;
 

@@ -37,18 +37,6 @@ class OutputComparator {
     Verdict verify(std::span<const double> reference,
                    std::span<const double> test) const;
 
-    /** True when the verdict can be derived from ErrorStats alone
-     *  (built-in metrics); false for custom registry metrics. */
-    bool fusible() const { return fused_ != Fused::None; }
-
-    /**
-     * Derive the verdict from precomputed @p stats. Only valid when
-     * fusible(); lets a sandboxed child ship the fixed-size ErrorStats
-     * through the result arena and the parent re-derive the verdict
-     * without the output vector.
-     */
-    Verdict verifyStats(const ErrorStats& stats) const;
-
     /** The bound metric. */
     const Metric& metric() const { return *metric_; }
 
@@ -62,6 +50,9 @@ class OutputComparator {
      * back to the compute()/loss() calls.
      */
     enum class Fused { None, Mae, Mse, Rmse, R2, Mcr };
+
+    /** Derive a built-in metric's verdict from one fused pass. */
+    Verdict verifyStats(const ErrorStats& stats) const;
 
     const Metric* metric_;
     double threshold_;

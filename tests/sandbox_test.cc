@@ -1,10 +1,11 @@
 /**
  * @file
- * Sandbox-execution tests (DESIGN.md §13): fork containment of
- * genuinely crashing / hanging / SIGSEGVing configurations, real
- * kill-on-deadline, shared-memory result-arena integrity, fd/zombie
- * hygiene, memo-cache publication rules, and trajectory identity
- * between in-process and forked evaluation.
+ * Sandbox-execution tests (DESIGN.md §13, §15): containment of
+ * genuinely crashing / hanging / SIGSEGVing configurations on one-job
+ * and persistent WorkerPool workers, real kill-on-deadline,
+ * shared-memory arena integrity, fd/zombie hygiene, memo-cache
+ * publication rules, and trajectory identity between in-process,
+ * fork and pool evaluation.
  *
  * Carries the `sandbox` ctest label (and not `parallel`: fork and
  * TSan do not mix).
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -37,7 +39,6 @@
 #include "support/logging.h"
 #include "support/shm_arena.h"
 #include "support/string_util.h"
-#include "support/subprocess.h"
 #include "support/timer.h"
 #include "support/worker_pool.h"
 
@@ -47,38 +48,59 @@ using namespace hpcmixp;
 using search::Config;
 using search::EvalStatus;
 using support::ChildExit;
-using support::ChildOutcome;
 using support::IsolationMode;
 using support::ShmArena;
 
-// ---- runInFork ---------------------------------------------------------
+// ---- RunInFork: one job per fresh worker (isolation = fork) -----------
+
+/** Run @p body as the only job of a fresh one-job worker. */
+support::PoolOutcome
+runInFreshWorker(const std::function<void()>& body, double deadline)
+{
+    support::WorkerPool pool(
+        1, 1, 1,
+        [&body](const void*, std::size_t, void*, std::size_t) {
+            body();
+            return std::size_t{0};
+        },
+        support::WorkerLifetime::OneJob);
+    char job = 0;
+    char result = 0;
+    support::PoolOutcome out = pool.run(&job, 1, &result, 0, deadline);
+    EXPECT_EQ(pool.stats().forks, 1u);
+    EXPECT_EQ(pool.workerPids(), std::vector<pid_t>{-1});
+    return out;
+}
 
 TEST(RunInFork, CleanBodyExitsClean)
 {
-    ChildOutcome out = support::runInFork([] {}, 0.0);
+    support::PoolOutcome out = runInFreshWorker([] {}, 0.0);
     EXPECT_EQ(out.exit, ChildExit::Clean);
     EXPECT_EQ(out.detail, 0);
+    EXPECT_TRUE(out.resultValid);
     EXPECT_GE(out.wallSeconds, 0.0);
 }
 
 TEST(RunInFork, NonzeroExitIsClassifiedWithCode)
 {
-    ChildOutcome out = support::runInFork([] { ::_exit(3); }, 0.0);
+    support::PoolOutcome out = runInFreshWorker([] { ::_exit(3); }, 0.0);
     EXPECT_EQ(out.exit, ChildExit::NonZeroExit);
     EXPECT_EQ(out.detail, 3);
+    EXPECT_FALSE(out.resultValid);
 }
 
 TEST(RunInFork, ThrowingBodyUsesTheThrewExitCode)
 {
-    ChildOutcome out = support::runInFork(
+    support::PoolOutcome out = runInFreshWorker(
         [] { throw std::runtime_error("boom"); }, 0.0);
     EXPECT_EQ(out.exit, ChildExit::NonZeroExit);
     EXPECT_EQ(out.detail, support::kChildBodyThrew);
+    EXPECT_FALSE(out.resultValid);
 }
 
 TEST(RunInFork, AbortingBodyIsContained)
 {
-    ChildOutcome out = support::runInFork([] { std::abort(); }, 0.0);
+    support::PoolOutcome out = runInFreshWorker([] { std::abort(); }, 0.0);
     // Sanitizer runtimes may intercept the abort and _exit nonzero
     // instead; either way the death is contained and classified.
     EXPECT_TRUE(out.exit == ChildExit::Signaled ||
@@ -88,7 +110,7 @@ TEST(RunInFork, AbortingBodyIsContained)
 
 TEST(RunInFork, SegvIsContained)
 {
-    ChildOutcome out = support::runInFork(
+    support::PoolOutcome out = runInFreshWorker(
         [] { search::executeRawFault(search::RawFault::Segv); }, 0.0);
     EXPECT_TRUE(out.exit == ChildExit::Signaled ||
                 out.exit == ChildExit::NonZeroExit)
@@ -98,9 +120,10 @@ TEST(RunInFork, SegvIsContained)
 TEST(RunInFork, GenuineSpinHangIsKilledOnDeadline)
 {
     support::WallTimer timer;
-    ChildOutcome out = support::runInFork(
+    support::PoolOutcome out = runInFreshWorker(
         [] { search::executeRawFault(search::RawFault::Hang); }, 0.25);
     EXPECT_EQ(out.exit, ChildExit::KilledOnDeadline);
+    EXPECT_EQ(out.detail, SIGKILL);
     EXPECT_GE(out.wallSeconds, 0.25);
     // The kill is prompt: nowhere near a blocking wait.
     EXPECT_LT(timer.seconds(), 10.0);
@@ -108,12 +131,13 @@ TEST(RunInFork, GenuineSpinHangIsKilledOnDeadline)
 
 TEST(RunInFork, DeadlineWaitDoesNotBusyPoll)
 {
-    // The parent's deadline wait sleeps in ppoll() on a pidfd (or a
-    // widely backed-off WNOHANG loop on ancient kernels) — waiting for
-    // a slow child must not burn parent CPU.
+    // The parent's deadline wait sleeps in poll() on the done doorbell
+    // and the worker's pidfd (or a 20 ms death probe on kernels
+    // without pidfds) — waiting for a slow job must not burn parent
+    // CPU.
     struct rusage before{}, after{};
     ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
-    ChildOutcome out = support::runInFork(
+    support::PoolOutcome out = runInFreshWorker(
         [] {
             std::this_thread::sleep_for(std::chrono::milliseconds(350));
         },
@@ -124,7 +148,7 @@ TEST(RunInFork, DeadlineWaitDoesNotBusyPoll)
         return r.ru_utime.tv_sec + r.ru_stime.tv_sec +
                (r.ru_utime.tv_usec + r.ru_stime.tv_usec) * 1e-6;
     };
-    // The child slept 350ms; the parent's own CPU over the wait stays
+    // The worker slept 350ms; the parent's own CPU over the wait stays
     // far below that (generous bound for loaded CI machines).
     EXPECT_LT(cpuSeconds(after) - cpuSeconds(before), 0.1);
 }
@@ -191,13 +215,16 @@ TEST(ShmArenaTest, ResetClearsACommit)
 TEST(ShmArenaTest, ChildCommitIsVisibleAfterReap)
 {
     ShmArena arena(sizeof(double));
-    ChildOutcome out = support::runInFork(
-        [&arena] {
-            double v = 6.5;
-            arena.commit(&v, sizeof v);
-        },
-        0.0);
-    ASSERT_EQ(out.exit, ChildExit::Clean);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        double v = 6.5;
+        arena.commit(&v, sizeof v);
+        ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     double back = 0.0;
     ASSERT_TRUE(arena.read(&back, sizeof back));
     EXPECT_EQ(back, 6.5);
@@ -206,12 +233,15 @@ TEST(ShmArenaTest, ChildCommitIsVisibleAfterReap)
 TEST(ShmArenaTest, KilledChildLeavesNoCommit)
 {
     ShmArena arena(sizeof(double));
-    ChildOutcome out = support::runInFork(
-        [&arena] {
-            search::executeRawFault(search::RawFault::Hang);
-        },
-        0.2);
-    EXPECT_EQ(out.exit, ChildExit::KilledOnDeadline);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        search::executeRawFault(search::RawFault::Hang);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
     EXPECT_FALSE(arena.committed());
 }
 
@@ -656,6 +686,35 @@ TEST(WorkerPoolTest, SigkilledIdleWorkerIsDetectedOnNextDispatch)
     EXPECT_NE(pool.workerPids()[0], pids[0]);
 }
 
+TEST(WorkerPoolTest, OneJobWorkersAreFreshWherePersistentOnesAreWarm)
+{
+    // A handler-side static counts the jobs its process has served: a
+    // one-job worker is a fresh fork of the parent for every job, a
+    // persistent worker carries its process state from job to job.
+    auto countingHandler = [](const void*, std::size_t, void* result,
+                              std::size_t) -> std::size_t {
+        static int served = 0;
+        ++served;
+        std::memcpy(result, &served, sizeof served);
+        return sizeof served;
+    };
+    constexpr int kJobs = 5;
+    for (auto lifetime : {support::WorkerLifetime::OneJob,
+                          support::WorkerLifetime::Persistent}) {
+        const bool oneJob = lifetime == support::WorkerLifetime::OneJob;
+        support::WorkerPool pool(1, sizeof(int), sizeof(int),
+                                 countingHandler, lifetime);
+        for (int i = 1; i <= kJobs; ++i) {
+            int result = 0;
+            ASSERT_EQ(runInt(pool, i, result).exit, ChildExit::Clean);
+            EXPECT_EQ(result, oneJob ? 1 : i);
+        }
+        EXPECT_EQ(pool.stats().forks, oneJob ? std::size_t{kJobs} : 1u);
+        EXPECT_EQ(pool.stats().dispatched, std::size_t{kJobs});
+        EXPECT_EQ(pool.stats().respawns, 0u);
+    }
+}
+
 TEST(WorkerPoolTest, PoolLifecycleLeaksNoFdsOrZombies)
 {
     const std::size_t before = openFdCount();
@@ -929,6 +988,15 @@ TEST(RawFaults, RejectedWithoutSandboxAsRecoverableError)
     opt.faultPlan = plan;
     EXPECT_THROW(core::BenchmarkTuner(bench, opt),
                  support::FatalError);
+    // The message names both sandboxed modes that would accept it.
+    try {
+        core::BenchmarkTuner tuner(bench, opt);
+    } catch (const support::FatalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--isolation=fork or --isolation=pool"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(RawFaults, RawHangWithoutDeadlineIsRejected)
