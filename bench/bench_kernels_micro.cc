@@ -1,10 +1,14 @@
 /**
  * @file
- * google-benchmark microbenchmarks: native double-precision versus
- * all-single-precision throughput of every kernel and application in
- * the suite. These are the raw runtime samples behind the speedup
- * columns of Tables III-V.
+ * google-benchmark microbenchmarks: throughput of every kernel and
+ * application in the suite with every bound knob at one rung — double,
+ * single, half or bfloat16. The double/single rows are the raw runtime
+ * samples behind the speedup columns of Tables III-V; the half/bf16
+ * rows give the per-rung cost of the emulated 16-bit formats.
  */
+
+#include <string>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -18,33 +22,22 @@ using hpcmixp::benchmarks::BenchmarkRegistry;
 using hpcmixp::benchmarks::PrecisionMap;
 using hpcmixp::runtime::Precision;
 
-/** Lower every bound knob of a benchmark to single precision. */
+/** Set every bound knob of a benchmark to precision @p p. */
 PrecisionMap
-allSingle(const Benchmark& bench)
+uniform(const Benchmark& bench, Precision p)
 {
     PrecisionMap pm;
     for (const auto& var : bench.programModel().variables())
         if (!var.bindKey.empty())
-            pm.set(var.bindKey, Precision::Float32);
+            pm.set(var.bindKey, p);
     return pm;
 }
 
 void
-runDouble(benchmark::State& state, const std::string& name)
+runAt(benchmark::State& state, const std::string& name, Precision p)
 {
     auto bench = BenchmarkRegistry::instance().create(name);
-    PrecisionMap pm;
-    for (auto _ : state) {
-        auto out = bench->run(pm);
-        benchmark::DoNotOptimize(out.values.data());
-    }
-}
-
-void
-runSingle(benchmark::State& state, const std::string& name)
-{
-    auto bench = BenchmarkRegistry::instance().create(name);
-    PrecisionMap pm = allSingle(*bench);
+    PrecisionMap pm = uniform(*bench, p);
     for (auto _ : state) {
         auto out = bench->run(pm);
         benchmark::DoNotOptimize(out.values.data());
@@ -52,14 +45,17 @@ runSingle(benchmark::State& state, const std::string& name)
 }
 
 const bool kRegistered = [] {
-    for (const auto& name : BenchmarkRegistry::instance().names()) {
-        benchmark::RegisterBenchmark((name + "/double").c_str(),
-                                     runDouble, name)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark((name + "/single").c_str(),
-                                     runSingle, name)
-            ->Unit(benchmark::kMillisecond);
-    }
+    const std::pair<const char*, Precision> rungs[] = {
+        {"double", Precision::Float64},
+        {"single", Precision::Float32},
+        {"half", Precision::Float16},
+        {"bf16", Precision::BFloat16},
+    };
+    for (const auto& name : BenchmarkRegistry::instance().names())
+        for (const auto& [suffix, p] : rungs)
+            benchmark::RegisterBenchmark((name + "/" + suffix).c_str(),
+                                         runAt, name, p)
+                ->Unit(benchmark::kMillisecond);
     return true;
 }();
 

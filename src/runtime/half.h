@@ -16,7 +16,8 @@
  * produce bit-identical results everywhere, which the golden-pinned
  * tests require.
  *
- * Conversion semantics (pinned by tests/runtime_test.cc):
+ * Conversion semantics (pinned by tests/runtime_test.cc against the
+ * reference conversions in tests/half_reference.h):
  *  - float -> 16-bit uses round-to-nearest-even, including subnormal
  *    results; values whose magnitude rounds beyond the maximum finite
  *    16-bit value overflow to infinity.
@@ -35,72 +36,54 @@ namespace hpcmixp::runtime {
 
 namespace detail {
 
-/** Round-to-nearest-even of (v >> shift); the carry may propagate. */
-constexpr std::uint32_t
-roundShiftRight(std::uint32_t v, unsigned shift)
-{
-    std::uint32_t out = v >> shift;
-    std::uint32_t rem = v & ((1u << shift) - 1u);
-    std::uint32_t half = 1u << (shift - 1u);
-    if (rem > half || (rem == half && (out & 1u)))
-        ++out;
-    return out;
-}
+// Both binary16 conversions are branch-free so that region loops over
+// Half vectorize; they assume the default FP environment (round to
+// nearest even), see DESIGN.md section 14.
 
+/**
+ * float -> binary16 bits. Adding 2^(e+15) to 4|f| (2^e = |f|'s binade,
+ * at least 2^-14) leaves the float adder's round-to-nearest-even
+ * exactly at the half ulp, for normal and subnormal results alike; the
+ * sum's low 12 bits are then the half significand with its implicit
+ * bit, and its exponent field mod 32 is the half exponent minus one.
+ * Clamping |f| to 2^16 makes every overflow (and Inf) land on 0x7c00.
+ */
 constexpr std::uint16_t
 floatBitsToHalfBits(std::uint32_t f)
 {
     std::uint32_t sign = (f >> 16) & 0x8000u;
     std::uint32_t abs = f & 0x7fffffffu;
-    if (abs >= 0x7f800000u) // Inf or NaN
-        return static_cast<std::uint16_t>(
-            sign | (abs > 0x7f800000u ? 0x7e00u : 0x7c00u));
-    int exp = static_cast<int>(abs >> 23) - 127;
-    std::uint32_t man = abs & 0x007fffffu;
-    if (exp >= 16) // magnitude >= 2^16: overflow to Inf
-        return static_cast<std::uint16_t>(sign | 0x7c00u);
-    if (exp >= -14) {
-        // Normal half; a mantissa rounding carry bumps the exponent
-        // (and 65520+ correctly carries into the Inf encoding).
-        std::uint32_t out = roundShiftRight(man, 13);
-        std::uint32_t bits =
-            (static_cast<std::uint32_t>(exp + 15) << 10) + out;
-        return static_cast<std::uint16_t>(sign | bits);
-    }
-    if (exp >= -25) {
-        // Subnormal half: make the implicit bit explicit, then round
-        // in units of 2^-24 (the subnormal ulp).
-        std::uint32_t full = man | 0x00800000u;
-        std::uint32_t out =
-            roundShiftRight(full, static_cast<unsigned>(-exp - 1));
-        return static_cast<std::uint16_t>(sign | out);
-    }
-    return static_cast<std::uint16_t>(sign); // underflows to +/-0
+    std::uint32_t a = abs < 0x47800000u ? abs : 0x47800000u;
+    std::uint32_t binade = a & 0x7f800000u;
+    binade = binade < 0x38800000u ? 0x38800000u : binade;
+    float sum = std::bit_cast<float>(binade + 0x07800000u) +
+                std::bit_cast<float>(a) * 4.0f;
+    std::uint32_t s = std::bit_cast<std::uint32_t>(sum);
+    std::uint32_t bits = ((s >> 13) & 0x7c00u) + (s & 0x0fffu);
+    return static_cast<std::uint16_t>(
+        sign | (abs > 0x7f800000u ? 0x7e00u : bits));
 }
 
+/**
+ * binary16 bits -> float bits: re-bias the exponent by 112; Inf/NaN
+ * get a further 112 (payload kept), and zero/subnormal halves are
+ * renormalised by one exact float subtraction of 2^-14. The selects
+ * are arithmetic rather than `?:`: GCC keeps a `?:` on a loop-invariant
+ * Half (a kernel coefficient) as a branch inside the loop, and that
+ * branch stops the loop from vectorizing.
+ */
 constexpr std::uint32_t
 halfBitsToFloatBits(std::uint16_t h)
 {
     std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000u) << 16;
-    std::uint32_t exp = (h >> 10) & 0x1fu;
-    std::uint32_t man = h & 0x3ffu;
-    if (exp == 31u) // Inf / NaN
-        return sign | 0x7f800000u | (man << 13);
-    if (exp == 0u) {
-        if (man == 0u)
-            return sign; // +/-0
-        // Subnormal half: renormalize into a float.
-        unsigned extra = 0;
-        std::uint32_t m = man;
-        while (!(m & 0x400u)) {
-            m <<= 1;
-            ++extra;
-        }
-        // value = 1.xxx * 2^(-14 - extra)  ->  biased float exponent
-        std::uint32_t fexp = 113u - extra;
-        return sign | (fexp << 23) | ((m & 0x3ffu) << 13);
-    }
-    return sign | ((exp + 112u) << 23) | (man << 13);
+    std::uint32_t shifted = (static_cast<std::uint32_t>(h) & 0x7fffu) << 13;
+    std::uint32_t exp = shifted & 0x0f800000u;
+    std::uint32_t out =
+        shifted + 0x38000000u + (exp == 0x0f800000u) * 0x38000000u;
+    std::uint32_t tiny = std::bit_cast<std::uint32_t>(
+        std::bit_cast<float>(out + 0x00800000u) - 0x1p-14f);
+    std::uint32_t isTiny = 0u - (exp == 0u);
+    return sign | (out ^ ((out ^ tiny) & isTiny));
 }
 
 constexpr std::uint16_t

@@ -20,9 +20,12 @@
 #include "runtime/mp_io.h"
 #include "support/logging.h"
 
+#include "half_reference.h"
+
 namespace {
 
 using namespace hpcmixp::runtime;
+namespace half_reference = hpcmixp::half_reference;
 
 TEST(Precision, ByteSizesAndNames)
 {
@@ -126,6 +129,67 @@ TEST(HalfTest, ExhaustiveWidenRoundTrip)
             EXPECT_EQ(back.bits, b) << "bits " << b;
         }
     }
+}
+
+// The conversions stay usable in constant expressions.
+static_assert(Half(65520.f).bits == 0x7c00u, "rounds past max to Inf");
+static_assert(Half(0x1p-25f).bits == 0u, "tie at 2^-25 rounds to +0");
+static_assert(Half(1.5f * 0x1p-25f).bits == 1u, "rounds up to 2^-24");
+
+/** Widening is bit-exact on every pattern, NaN payloads included. */
+TEST(HalfTest, WidenMatchesReferenceOnEveryPattern)
+{
+    int mismatches = 0;
+    for (std::uint32_t b = 0; b < 0x10000u; ++b) {
+        auto h = static_cast<std::uint16_t>(b);
+        std::uint32_t got = detail::halfBitsToFloatBits(h);
+        std::uint32_t want = half_reference::halfBitsToFloatBits(h);
+        if (got != want && ++mismatches <= 8)
+            ADD_FAILURE() << std::hex << "half 0x" << b << " -> 0x"
+                          << got << ", reference 0x" << want;
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+/**
+ * Narrowing agrees with the reference at every rounding point: each
+ * sign and float exponent, every kept significand pattern, and the
+ * dropped bits {0, 1, tie-1, tie, tie+1, all ones} at the position
+ * where that exponent's result actually rounds — bit 13 for normal
+ * halves (and the overflow/Inf/NaN exponents), shifted up to the
+ * 2^-24 subnormal ulp below 2^-14.
+ */
+TEST(HalfTest, NarrowMatchesReferenceAroundEveryRoundingPoint)
+{
+    int mismatches = 0;
+    for (std::uint32_t sign = 0; sign < 2; ++sign) {
+        for (std::uint32_t exp = 0; exp < 256; ++exp) {
+            int e = static_cast<int>(exp) - 127;
+            unsigned dropped = e >= -14 ? 13u
+                               : e >= -24
+                                   ? static_cast<unsigned>(-e - 1)
+                                   : 23u;
+            std::uint32_t tie = 1u << (dropped - 1);
+            const std::uint32_t low[] = {0u,      1u,      tie - 1u,
+                                         tie,     tie + 1u,
+                                         (tie << 1) - 1u};
+            for (std::uint32_t kept = 0; kept < (1u << (23 - dropped));
+                 ++kept) {
+                for (std::uint32_t bits : low) {
+                    std::uint32_t f = (sign << 31) | (exp << 23) |
+                                      (kept << dropped) | bits;
+                    std::uint16_t got = detail::floatBitsToHalfBits(f);
+                    std::uint16_t want =
+                        half_reference::floatBitsToHalfBits(f);
+                    if (got != want && ++mismatches <= 8)
+                        ADD_FAILURE()
+                            << std::hex << "float 0x" << f << " -> 0x"
+                            << got << ", reference 0x" << want;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(HalfTest, ExhaustiveBf16WidenRoundTrip)
