@@ -778,18 +778,6 @@ BenchmarkTuner::searchVariableProblem()
     return *variableProblem_;
 }
 
-search::SearchRunOptions
-searchRunOptions(const TunerOptions& options)
-{
-    search::SearchRunOptions run;
-    run.resilience = options.resilience;
-    run.checkpointEvery = options.checkpointEvery;
-    run.checkpointSink = options.checkpointSink;
-    run.initialCache = options.initialCache;
-    run.searchJobs = options.searchJobs;
-    return run;
-}
-
 search::MemoFingerprint
 BenchmarkTuner::fingerprint(search::Granularity granularity) const
 {
@@ -809,7 +797,7 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
     // changes what an evaluation measures; either difference makes
     // cached entries incomparable. The default ladder without
     // refinement renders as "f64:f32" — the historical fingerprint —
-    // so pre-ladder checkpoints and memo segments stay loadable.
+    // so pre-ladder memo segments stay loadable.
     fp.ladder = options_.ladder.describe();
     if (options_.refine)
         fp.ladder += "+ir";
@@ -819,11 +807,12 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
 search::SearchRunOptions
 BenchmarkTuner::runOptionsFor(search::Granularity granularity)
 {
-    search::SearchRunOptions run = searchRunOptions(options_);
+    search::SearchRunOptions run;
+    run.resilience = options_.resilience;
+    run.searchJobs = options_.searchJobs;
     run.prior = staticPrior(granularity);
-    run.fingerprint = fingerprint(granularity);
     if (options_.memoStore)
-        run.memo = options_.memoStore->table(run.fingerprint);
+        run.memo = options_.memoStore->table(fingerprint(granularity));
     return run;
 }
 
@@ -896,12 +885,6 @@ BenchmarkTuner::tunePortfolio(
         entrant.problem = variableLevel ? &searchVariableProblem()
                                         : &searchClusterProblem();
         entrant.run = runOptionsFor(entrant.strategy->granularity());
-        // Entrants run concurrently, so a shared checkpoint sink would
-        // interleave snapshots from different strategies; in portfolio
-        // mode the memo store is the persistence mechanism.
-        entrant.run.checkpointEvery = 0;
-        entrant.run.checkpointSink = nullptr;
-        entrant.run.initialCache = support::json::Value();
         entrants.push_back(std::move(entrant));
     }
 

@@ -76,15 +76,6 @@ struct TunerOptions {
     /** Fault-injection plan; all-zero rates disable injection. */
     search::FaultPlan faultPlan;
 
-    /** Executions between search-cache snapshots; 0 disables. */
-    std::size_t checkpointEvery = 0;
-
-    /** Receives periodic exportCache() snapshots when set. */
-    search::SearchContext::CheckpointSink checkpointSink;
-
-    /** Non-null: restored into the search context before searching. */
-    support::json::Value initialCache;
-
     /** Worker threads for in-search batch evaluation; 1 = serial. */
     std::size_t searchJobs = 1;
 
@@ -178,10 +169,6 @@ struct SandboxStats {
                arenaCorrupt + spawnFailed;
     }
 };
-
-/** Per-search run options (resilience + checkpoint wiring) derived
- *  from tuner options. */
-search::SearchRunOptions searchRunOptions(const TunerOptions& options);
 
 /** Result of a full tuning run with one strategy. */
 struct TuneOutcome {
@@ -279,16 +266,15 @@ class BenchmarkTuner {
      * The evaluation-function fingerprint of this tuner at one search
      * granularity: benchmark name, input signature (hash of the
      * baseline reference output), metric, threshold, site count and
-     * precision ladder. Addresses the memo-cache and stamps
-     * checkpoints.
+     * precision ladder. Addresses the memo-cache.
      */
     search::MemoFingerprint
     fingerprint(search::Granularity granularity) const;
 
     /**
-     * Search-run wiring for one granularity: resilience, checkpoint,
-     * parallelism (searchRunOptions) plus the static prior and, when
-     * a memo store is configured, the fingerprinted memo table.
+     * Search-run wiring for one granularity: resilience, parallelism,
+     * the static prior and, when a memo store is configured, the
+     * fingerprinted memo table.
      */
     search::SearchRunOptions
     runOptionsFor(search::Granularity granularity);

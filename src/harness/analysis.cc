@@ -147,7 +147,9 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     search::DeltaDebugSearch dd;
     search::SearchResult searchResult =
         search::runSearch(tuner.searchVariableProblem(), dd,
-                          options.budget, core::searchRunOptions(options));
+                          options.budget,
+                          tuner.runOptionsFor(
+                              search::Granularity::Variable));
 
     AnalysisResult result;
     result.analysis = name();

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "benchmarks/registry.h"
+#include "search/prior.h"
 #include "support/logging.h"
+#include "support/memo_log.h"
 #include "support/string_util.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
@@ -82,12 +83,21 @@ parseEntry(const std::string& benchmarkName,
     return spec;
 }
 
-/** Stable identity of a job inside a checkpoint file. */
+/** Journal identity of job @p index: every field of its spec. */
 std::string
 jobKey(const JobSpec& spec, std::size_t index)
 {
-    return strCat(index, ":", spec.benchmark, "/",
-                  support::toLower(spec.analysis));
+    Value args = Value::object();
+    for (const auto& [name, value] : spec.extraArgs)
+        args.set(name, Value::string(value));
+    Value key = Value::object();
+    key.set("index", Value::number(static_cast<double>(index)));
+    key.set("benchmark", Value::string(spec.benchmark));
+    key.set("analysis", Value::string(support::toLower(spec.analysis)));
+    key.set("extra_args", std::move(args));
+    key.set("metric", Value::string(spec.metric));
+    key.set("threshold", Value::number(spec.threshold));
+    return key.dump();
 }
 
 Value
@@ -133,9 +143,8 @@ analysisResultToJson(const AnalysisResult& r)
 AnalysisResult
 analysisResultFromJson(const Value& v)
 {
-    auto count = [&](const char* key) -> std::size_t {
-        return v.has(key) ? static_cast<std::size_t>(v.at(key).asLong())
-                          : 0;
+    auto count = [&](const char* key) {
+        return static_cast<std::size_t>(v.at(key).asLong());
     };
     AnalysisResult r;
     r.analysis = v.at("analysis").asString();
@@ -152,131 +161,101 @@ analysisResultFromJson(const Value& v)
     r.retries = count("retries");
     r.deadlineMisses = count("deadline_misses");
     r.quarantined = count("quarantined");
-    // Absent in pre-stealing checkpoints; defaults to zero.
     r.steals = count("steals");
     r.timedOut = v.at("timed_out").asBool();
     r.configuration = v.at("configuration").asString();
-    // Sandbox fields are absent in pre-sandbox checkpoints; count()
-    // already defaults them to zero.
     r.childForks = count("child_forks");
     r.childKills = count("child_kills");
     r.childNonZeroExits = count("child_nonzero_exits");
     r.childSignaled = count("child_signaled");
     r.childArenaCorrupt = count("child_arena_corrupt");
     r.childRespawns = count("child_respawns");
-    r.childSpawnMeanSeconds =
-        v.has("child_spawn_mean_seconds")
-            ? v.at("child_spawn_mean_seconds").asNumber()
-            : 0.0;
+    r.childSpawnMeanSeconds = v.at("child_spawn_mean_seconds").asNumber();
     return r;
 }
 
+/** The campaign-wide settings that change a job's result. */
+std::string
+journalHeader(const HarnessOptions& options)
+{
+    const core::TunerOptions& t = options.tuner;
+    const search::FaultPlan& f = t.faultPlan;
+    return strCat("mixpbench-harness jobs: seed=", t.seed,
+                  " budget=", t.budget.maxEvaluations, "/",
+                  t.budget.maxSeconds, " reps=", t.searchReps, "/",
+                  t.finalReps, " ladder=", t.ladder.describe(),
+                  t.refine ? "+ir" : "", " static-prior=",
+                  search::priorModeName(t.staticPrior),
+                  " certified-caps=", t.certifiedCaps ? "on" : "off",
+                  " portfolio=",
+                  options.portfolio ? options.portfolioMode : "off",
+                  " attempts=", t.resilience.maxAttempts,
+                  " deadline=", t.resilience.deadlineSeconds,
+                  " faults=", f.crashRate, "/", f.hangRate, "/",
+                  f.nanRate, "/", f.rawCrashRate, "/", f.rawHangRate,
+                  "/", f.rawSegvRate, "@", f.seed);
+}
+
 /**
- * Mutex-protected checkpoint document for one campaign: successfully
- * completed job results plus the latest search-cache snapshot of every
- * in-flight job. Every update atomically rewrites the file (write to a
- * temporary, then rename) so a kill mid-write never corrupts it.
+ * Completed-jobs journal of a memo directory: one {job, result}
+ * record per successfully completed job, in `jobs-<hash>.log` named
+ * after the campaign header the way MemoStore names memo segments.
+ * AppendLog does no locking, so concurrent jobs append through one
+ * mutex here.
  */
-class CheckpointWriter {
+class JobJournal {
   public:
-    explicit CheckpointWriter(std::string path)
-        : path_(std::move(path))
+    JobJournal(const std::string& dir, const std::string& header)
+        : log_(journalPath(dir, header), header)
     {
     }
 
-    void
-    updateCache(const std::string& key, Value cache)
+    /** Journalled results by job key; a later record wins. */
+    std::map<std::string, AnalysisResult>
+    completed() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        caches_[key] = std::move(cache);
-        flushLocked();
+        std::map<std::string, AnalysisResult> done;
+        for (const std::string& text : log_.records()) {
+            try {
+                Value record = support::json::parse(text);
+                done[record.at("job").asString()] =
+                    analysisResultFromJson(record.at("result"));
+            } catch (const support::FatalError& e) {
+                support::warn(strCat("harness: skipping malformed job "
+                                     "journal record: ",
+                                     e.what()));
+            }
+        }
+        return done;
     }
 
     void
-    completeJob(const std::string& key, const JobResult& job)
+    append(const std::string& key, const AnalysisResult& result)
     {
+        Value record = Value::object();
+        record.set("job", Value::string(key));
+        record.set("result", analysisResultToJson(result));
         std::lock_guard<std::mutex> lock(mutex_);
-        Value entry = Value::object();
-        entry.set("benchmark", Value::string(job.spec.benchmark));
-        entry.set("analysis", Value::string(job.spec.analysis));
-        entry.set("result", analysisResultToJson(job.result));
-        completed_[key] = std::move(entry);
-        caches_.erase(key); // the final result supersedes the cache
-        flushLocked();
+        log_.append(record.dump());
     }
 
   private:
-    void
-    flushLocked()
+    static std::string
+    journalPath(const std::string& dir, const std::string& header)
     {
-        Value root = Value::object();
-        root.set("version", Value::number(1));
-        Value completed = Value::object();
-        for (const auto& [key, entry] : completed_)
-            completed.set(key, entry);
-        root.set("completed", std::move(completed));
-        Value caches = Value::object();
-        for (const auto& [key, cache] : caches_)
-            caches.set(key, cache);
-        root.set("caches", std::move(caches));
-
-        std::string tmp = path_ + ".tmp";
-        {
-            std::ofstream out(tmp);
-            if (!out) {
-                support::warn(strCat("harness: cannot write checkpoint '",
-                                     tmp, "'"));
-                return;
-            }
-            out << root.dump(2) << '\n';
-        }
-        if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-            support::warn(strCat("harness: cannot move checkpoint into '",
-                                 path_, "'"));
+        char name[32];
+        std::snprintf(name, sizeof(name), "jobs-%016llx.log",
+                      static_cast<unsigned long long>(
+                          support::fnv1a64(header)));
+        return (std::filesystem::path(dir) / name).string();
     }
 
-    std::string path_;
     std::mutex mutex_;
-    std::map<std::string, Value> completed_;
-    std::map<std::string, Value> caches_;
+    support::AppendLog log_;
 };
-
-/** Restored state of an interrupted campaign. */
-struct ResumeState {
-    std::map<std::string, AnalysisResult> completed;
-    std::map<std::string, Value> caches;
-};
-
-ResumeState
-loadResume(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal(strCat("harness: cannot open resume checkpoint '", path,
-                     "'"));
-    std::ostringstream text;
-    text << in.rdbuf();
-    Value root = support::json::parse(text.str());
-    if (!root.isObject() || !root.has("completed") ||
-        !root.has("caches"))
-        fatal(strCat("harness: '", path,
-                     "' is not a harness checkpoint"));
-
-    ResumeState state;
-    const Value& completed = root.at("completed");
-    for (const auto& key : completed.keys())
-        state.completed[key] =
-            analysisResultFromJson(completed.at(key).at("result"));
-    const Value& caches = root.at("caches");
-    for (const auto& key : caches.keys())
-        state.caches[key] = caches.at(key);
-    return state;
-}
 
 JobResult
-runJob(const JobSpec& spec, const HarnessOptions& options,
-       Value initialCache,
-       search::SearchContext::CheckpointSink checkpointSink)
+runJob(const JobSpec& spec, const HarnessOptions& options)
 {
     JobResult out;
     out.spec = spec;
@@ -287,12 +266,6 @@ runJob(const JobSpec& spec, const HarnessOptions& options,
         core::TunerOptions tunerOptions = options.tuner;
         tunerOptions.threshold = spec.threshold;
         tunerOptions.metric = spec.metric;
-        tunerOptions.initialCache = std::move(initialCache);
-        tunerOptions.checkpointSink = std::move(checkpointSink);
-        if (!tunerOptions.checkpointSink)
-            tunerOptions.checkpointEvery = 0;
-        else if (tunerOptions.checkpointEvery == 0)
-            tunerOptions.checkpointEvery = options.checkpointEvery;
         auto analysis =
             AnalysisRegistry::instance().create(spec.analysis);
         out.result =
@@ -350,64 +323,51 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
         options.tuner.searchJobs = clamped;
     }
 
+    if (options.resume &&
+        !std::filesystem::is_directory(options.memoCacheDir))
+        fatal(strCat("harness: --resume: no memo directory '",
+                     options.memoCacheDir, "'"));
+
     // One store for the whole campaign: jobs sharing a benchmark and
     // threshold share a table, everything else just shares the
     // directory.
-    if (!options.memoCacheDir.empty())
+    std::unique_ptr<JobJournal> journal;
+    std::map<std::string, AnalysisResult> completed;
+    if (!options.memoCacheDir.empty()) {
         options.tuner.memoStore =
             std::make_shared<search::MemoStore>(options.memoCacheDir);
-
-    ResumeState resume;
-    if (!options.resumePath.empty())
-        resume = loadResume(options.resumePath);
-
-    std::shared_ptr<CheckpointWriter> writer;
-    if (!options.checkpointPath.empty())
-        writer = std::make_shared<CheckpointWriter>(
-            options.checkpointPath);
+        journal = std::make_unique<JobJournal>(options.memoCacheDir,
+                                               journalHeader(options));
+        if (options.resume)
+            completed = journal->completed();
+    }
 
     auto runOne = [&](std::size_t i) {
         JobSpec spec = jobs[i];
         // --portfolio swaps the configured analysis for the racing
-        // portfolio; the key follows so checkpoints of the two setups
-        // never alias.
+        // portfolio; the key follows so journal records of the two
+        // setups never alias.
         if (options.portfolio) {
             spec.analysis = "portfolio";
             spec.extraArgs["mode"] = options.portfolioMode;
         }
         std::string key = jobKey(spec, i);
 
-        if (auto it = resume.completed.find(key);
-            it != resume.completed.end()) {
+        if (auto it = completed.find(key); it != completed.end()) {
             results[i].spec = spec;
             results[i].result = it->second;
             results[i].restored = true;
-            support::inform(strCat("harness: restored '", key,
-                                   "' from checkpoint"));
-            if (writer)
-                writer->completeJob(key, results[i]);
+            support::inform(strCat("harness: restored job ", i, " (",
+                                   spec.benchmark, ") from the journal"));
             return;
         }
-
-        Value initialCache; // null
-        if (auto it = resume.caches.find(key);
-            it != resume.caches.end()) {
-            initialCache = it->second;
-            support::inform(strCat("harness: resuming '", key,
-                                   "' from a partial search cache"));
-        }
-        search::SearchContext::CheckpointSink sink;
-        if (writer)
-            sink = [writer, key](const Value& cache) {
-                writer->updateCache(key, cache);
-            };
-
-        results[i] = runJob(spec, options, std::move(initialCache),
-                            std::move(sink));
-        // Failed jobs stay out of `completed` so a resumed campaign
-        // retries them (their last cache snapshot is kept).
-        if (writer && results[i].error.empty())
-            writer->completeJob(key, results[i]);
+        // An interrupted job re-runs its strategy from the start;
+        // every evaluation the earlier run finished is a memo hit.
+        results[i] = runJob(spec, options);
+        // Failed jobs stay out of the journal so a resumed campaign
+        // retries them.
+        if (journal && results[i].error.empty())
+            journal->append(key, results[i].result);
     };
 
     if (options.jobs <= 1) {

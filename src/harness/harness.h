@@ -50,29 +50,22 @@ struct HarnessOptions {
     core::TunerOptions tuner;     ///< metric/threshold overridden per job
 
     /**
-     * Checkpoint file the campaign progressively writes: completed
-     * job results plus in-flight search caches. Empty disables
-     * checkpointing.
-     */
-    std::string checkpointPath;
-
-    /**
-     * Checkpoint file a previous (interrupted) campaign wrote.
-     * Completed jobs are restored without re-running; in-flight jobs
-     * resume from their cached evaluations. Empty starts fresh.
-     */
-    std::string resumePath;
-
-    /** Executed configurations between search-cache snapshots. */
-    std::size_t checkpointEvery = 8;
-
-    /**
      * Directory of the persistent cross-run memo-cache (--memo-cache).
      * Every job consults the benchmark-fingerprinted table before
      * executing a configuration and publishes what it ran, so a
-     * repeated campaign re-executes nothing. Empty disables it.
+     * repeated campaign re-executes nothing. Each successfully
+     * completed job is also appended to the directory's job journal.
+     * Empty disables both.
      */
     std::string memoCacheDir;
+
+    /**
+     * Restore the jobs memoCacheDir's journal records as completed
+     * under this campaign's settings (--resume). Jobs without a record
+     * run again; every evaluation an interrupted run finished is a
+     * memo hit. fatal()s when memoCacheDir is empty or missing.
+     */
+    bool resume = false;
 
     /** Run every job through the portfolio analysis (--portfolio),
      *  racing the strategies against the shared memo store instead of
@@ -88,7 +81,7 @@ struct JobResult {
     JobSpec spec;
     AnalysisResult result;
     std::string error;     ///< non-empty when the job failed
-    bool restored = false; ///< satisfied from a resume checkpoint
+    bool restored = false; ///< satisfied from the job journal
 };
 
 /** Parse a configuration document into job specs; fatal()s on schema

@@ -8,8 +8,7 @@
  *                     [--deadline S] [--fault-rate P]
  *                     [--isolation none|fork|pool]
  *                     [--isolation-max-crashes N] [--pool-workers N]
- *                     [--checkpoint F] [--resume F]
- *                     [--memo-cache DIR] [--portfolio]
+ *                     [--memo-cache DIR] [--resume DIR] [--portfolio]
  *                     [--portfolio-mode best|race]
  *                     [--static-prior on|off|strict]
  *                     [--certified-caps on|off]
@@ -18,10 +17,12 @@
  * Reads a Listing-4-style YAML configuration, runs every declared
  * analysis job, and prints a result table. The resilience flags
  * control the retry/deadline policy, deterministic fault injection,
- * and campaign checkpoint/resume (see README "Fault tolerance").
+ * and campaign resume from a memo directory (see README "Fault
+ * tolerance").
  */
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -29,6 +30,23 @@
 #include "harness/harness.h"
 #include "support/cli.h"
 #include "support/logging.h"
+
+namespace {
+
+/** A count flag; a negative value is a usage error, not a wrap to a
+ *  huge std::size_t. */
+std::size_t
+countFlag(const hpcmixp::support::CommandLine& cl, const char* name,
+          long fallback)
+{
+    long value = cl.getLong(name, fallback);
+    if (value < 0)
+        hpcmixp::support::fatal(hpcmixp::support::strCat(
+            "--", name, " must be a non-negative integer, got ", value));
+    return static_cast<std::size_t>(value);
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -75,11 +93,10 @@ main(int argc, char** argv)
                " crashed children (default 0 = unlimited)\n"
                "  --pool-workers  persistent sandbox workers under"
                " --isolation=pool (default 0 = --search-jobs)\n"
-               "  --checkpoint  write campaign progress to this file\n"
-               "  --resume      restore an interrupted campaign from"
-               " this file\n"
                "  --memo-cache  persistent cross-run evaluation cache"
-               " directory\n"
+               " directory; also journals every completed job\n"
+               "  --resume      --memo-cache DIR plus restoring the"
+               " jobs its journal records as completed\n"
                "  --portfolio   race all strategies per benchmark"
                " instead of the configured analysis\n"
                "  --portfolio-mode  best (run all to budget) or race"
@@ -109,22 +126,19 @@ main(int argc, char** argv)
     try {
         auto jobs = harness::parseConfigFile(path);
         harness::HarnessOptions options;
-        options.jobs =
-            static_cast<std::size_t>(cl.getLong("jobs", 1));
-        options.tuner.searchJobs =
-            static_cast<std::size_t>(cl.getLong("search-jobs", 1));
+        options.jobs = countFlag(cl, "jobs", 1);
+        options.tuner.searchJobs = countFlag(cl, "search-jobs", 1);
         if (options.tuner.searchJobs == 0)
             options.tuner.searchJobs = std::max(
                 1u, std::thread::hardware_concurrency());
-        options.tuner.searchReps =
-            static_cast<std::size_t>(cl.getLong("reps", 3));
+        options.tuner.searchReps = countFlag(cl, "reps", 3);
         options.tuner.budget.maxEvaluations =
-            static_cast<std::size_t>(cl.getLong("budget", 2000));
+            countFlag(cl, "budget", 2000);
 
         long seed = cl.getLong("seed", 2020);
         options.tuner.seed = static_cast<std::uint64_t>(seed);
         options.tuner.resilience.maxAttempts =
-            static_cast<std::size_t>(cl.getLong("retries", 3));
+            countFlag(cl, "retries", 3);
         options.tuner.resilience.deadlineSeconds =
             cl.getDouble("deadline", 0.0);
         options.tuner.resilience.seed = options.tuner.seed;
@@ -145,10 +159,9 @@ main(int argc, char** argv)
 
         options.tuner.isolation = support::parseIsolationMode(
             cl.getString("isolation", "none"));
-        options.tuner.isolationMaxCrashes = static_cast<std::size_t>(
-            cl.getLong("isolation-max-crashes", 0));
-        options.tuner.poolWorkers = static_cast<std::size_t>(
-            cl.getLong("pool-workers", 0));
+        options.tuner.isolationMaxCrashes =
+            countFlag(cl, "isolation-max-crashes", 0);
+        options.tuner.poolWorkers = countFlag(cl, "pool-workers", 0);
 
         options.tuner.staticPrior = search::parsePriorMode(
             cl.getString("static-prior", "off"));
@@ -169,17 +182,21 @@ main(int argc, char** argv)
         }
 
         options.memoCacheDir = cl.getString("memo-cache", "");
+        if (cl.has("resume")) {
+            std::string dir = cl.getString("resume", "");
+            std::error_code ec;
+            if (!options.memoCacheDir.empty() &&
+                options.memoCacheDir != dir &&
+                !std::filesystem::equivalent(options.memoCacheDir, dir,
+                                             ec))
+                support::fatal("--resume and --memo-cache name different"
+                               " directories");
+            options.memoCacheDir = dir;
+            options.resume = true;
+        }
         options.portfolio = cl.getBool("portfolio", false);
         options.portfolioMode =
             cl.getString("portfolio-mode", "best");
-
-        options.checkpointPath = cl.getString("checkpoint", "");
-        options.resumePath = cl.getString("resume", "");
-        // Resuming keeps checkpointing to the same file unless the
-        // user redirects it, so a resumed run can itself be resumed.
-        if (!options.resumePath.empty() &&
-            options.checkpointPath.empty())
-            options.checkpointPath = options.resumePath;
 
         auto results = harness::runJobs(jobs, options);
         harness::printResults(std::cout, results);

@@ -15,8 +15,8 @@
  *
  * The ladder is part of the evaluation-cache identity: its
  * describe() string ("f64:f32:f16") feeds MemoFingerprint, so memo
- * segments and checkpoints recorded under one ladder are recoverably
- * rejected under another (CheckpointMismatch), never misread.
+ * segments recorded under one ladder live in a table of their own
+ * and are never consulted under another.
  */
 
 #include <cstddef>

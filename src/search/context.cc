@@ -66,26 +66,11 @@ SearchContext::setMemo(std::shared_ptr<MemoTable> memo)
 }
 
 void
-SearchContext::setFingerprint(MemoFingerprint fingerprint)
-{
-    fingerprint_ = std::move(fingerprint);
-}
-
-void
 SearchContext::setCancelFlag(
     std::shared_ptr<const std::atomic<bool>> flag)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     cancel_ = std::move(flag);
-}
-
-void
-SearchContext::setCheckpointHook(std::size_t everyExecutions,
-                                 CheckpointSink sink)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    checkpointEvery_ = everyExecutions;
-    checkpointSink_ = std::move(sink);
 }
 
 void
@@ -172,9 +157,8 @@ SearchContext::evaluateResilient(const Config& config,
 {
     // Strict prior mode: a configuration that lowers a pinned site is
     // rejected like an uncompilable one, without executing anything.
-    // This also guards non-strategy entry points (cache imports were
-    // evaluated elsewhere, but resumed *searches* re-derive candidates
-    // through here).
+    // Batch evaluation reaches this point without passing through
+    // evaluate(), so the check lives here rather than there.
     if (prior_.strict() && prior_.violates(config)) {
         Evaluation rejected;
         rejected.status = EvalStatus::CompileFail;
@@ -228,9 +212,9 @@ SearchContext::evaluateResilient(const Config& config,
 
 /**
  * Record one freshly evaluated configuration: merge its resilience
- * counters, meter it, update best-so-far, populate the cache, and fire
- * the periodic checkpoint hook. Caller holds the lock and has already
- * passed the budget check.
+ * counters, meter it, update best-so-far, publish it to the memo and
+ * populate the cache. Caller holds the lock and has already passed the
+ * budget check.
  */
 const Evaluation&
 SearchContext::commitLocked(std::string key, const Config& config,
@@ -253,18 +237,13 @@ SearchContext::commitLocked(std::string key, const Config& config,
     // stay private to this run.
     if (ran && memo_ && eval.memoizable)
         memo_->publish(key, eval);
-    const Evaluation& stored =
-        cache_.emplace(std::move(key), std::move(eval)).first->second;
-    if (ran && checkpointEvery_ > 0 && checkpointSink_ &&
-        executed_ % checkpointEvery_ == 0)
-        checkpointSink_(exportCacheLocked());
-    return stored;
+    return cache_.emplace(std::move(key), std::move(eval)).first->second;
 }
 
 /**
  * Commit a cross-run memo hit: the stored evaluation enters the local
  * cache and competes for best-so-far, but nothing executed — no EV, no
- * budget consumption, no checkpoint snapshot. Caller holds the lock.
+ * budget consumption, no memo publication. Caller holds the lock.
  */
 const Evaluation&
 SearchContext::commitMemoHitLocked(std::string key,
@@ -423,7 +402,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
 
     // Commit in submission order under one critical section, so the
     // observable trajectory (counters, cache, best, budget throw
-    // point, checkpoint snapshots) is bit-identical to the serial
+    // point, memo publication order) is bit-identical to the serial
     // loop. A budget hit throws and discards the uncommitted tail.
     std::vector<Evaluation> out(configs.size());
     std::lock_guard<std::mutex> lock(mutex_);
@@ -436,7 +415,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
                                   counters[slot.fresh]);
         } else if (slot.kind == Kind::Memo) {
             // As in the serial path: a memo hit commits without a
-            // budget check, EV increment or checkpoint snapshot.
+            // budget check, EV increment or memo publication.
             out[i] = commitMemoHitLocked(std::move(slot.key),
                                          configs[i],
                                          std::move(slot.memoEval));
@@ -525,15 +504,14 @@ SearchContext::exhausted() const
 }
 
 support::json::Value
-SearchContext::exportCacheLocked() const
+SearchContext::exportCache() const
 {
     using support::json::Value;
     Value root = Value::object();
     root.set("sites", Value::number(static_cast<double>(
                           problem_.siteCount())));
-    if (fingerprint_.valid())
-        root.set("fingerprint", fingerprint_.toJson());
     Value entries = Value::array();
+    std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [key, eval] : cache_) {
         Value e = Value::object();
         e.set("config", Value::string(key));
@@ -545,76 +523,6 @@ SearchContext::exportCacheLocked() const
     }
     root.set("evaluations", std::move(entries));
     return root;
-}
-
-support::json::Value
-SearchContext::exportCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return exportCacheLocked();
-}
-
-void
-SearchContext::importCache(const support::json::Value& checkpoint)
-{
-    using support::fatal;
-    if (!checkpoint.isObject() || !checkpoint.has("sites") ||
-        !checkpoint.has("evaluations"))
-        fatal("checkpoint: expected {sites, evaluations}");
-    auto sites = static_cast<std::size_t>(
-        checkpoint.at("sites").asLong());
-    if (sites != problem_.siteCount())
-        fatal(support::strCat("checkpoint: has ", sites,
-                              " sites, problem has ",
-                              problem_.siteCount()));
-    // A checkpoint from another evaluation function — different
-    // benchmark, input, metric or threshold — must not seed this run:
-    // its evaluations would be silently wrong at this threshold. The
-    // rejection happens before any entry lands in the cache, and is
-    // recoverable (the caller simply starts fresh).
-    if (fingerprint_.valid() && checkpoint.has("fingerprint")) {
-        auto fp =
-            MemoFingerprint::fromJson(checkpoint.at("fingerprint"));
-        if (!fp)
-            fatal("checkpoint: malformed fingerprint");
-        if (!(*fp == fingerprint_))
-            throw CheckpointMismatch(support::strCat(
-                "checkpoint fingerprint [", fp->describe(),
-                "] does not match this run [",
-                fingerprint_.describe(), "]"));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& entry : checkpoint.at("evaluations").items()) {
-        const std::string& key = entry.at("config").asString();
-        if (key.size() != sites)
-            fatal("checkpoint: malformed config levels");
-        Evaluation eval;
-        auto status =
-            evalStatusFromName(entry.at("status").asString());
-        if (!status)
-            fatal(support::strCat("checkpoint: unknown status '",
-                                  entry.at("status").asString(), "'"));
-        eval.status = *status;
-        eval.runtimeSeconds =
-            entry.at("runtime_seconds").isNull()
-                ? 0.0
-                : entry.at("runtime_seconds").asNumber();
-        eval.speedup = entry.at("speedup").isNull()
-                           ? 0.0
-                           : entry.at("speedup").asNumber();
-        eval.qualityLoss =
-            entry.at("quality_loss").isNull()
-                ? std::numeric_limits<double>::quiet_NaN()
-                : entry.at("quality_loss").asNumber();
-        Config config = Config::fromString(key);
-        noteBestLocked(config, eval);
-        // Checkpoint-to-memo migration: a resumed run with a memo
-        // attached makes its restored evaluations durable for every
-        // future run.
-        if (memo_)
-            memo_->publish(key, eval);
-        cache_[key] = eval;
-    }
 }
 
 const Config&

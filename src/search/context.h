@@ -25,7 +25,7 @@
  * campaigns do: a set of independent candidates is evaluated
  * concurrently on a thread pool, but the results are *committed in
  * submission order*, so EV accounting, budget exhaustion, cache
- * population, checkpoint snapshots and best-so-far tracking are
+ * population, memo publication order and best-so-far tracking are
  * bit-identical to the serial loop (DESIGN.md, Section 9). All shared
  * state is mutex-guarded, so the context is safe to query while a
  * batch is in flight.
@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,19 +67,6 @@ struct SearchBudget {
 class BudgetExhausted : public std::runtime_error {
   public:
     BudgetExhausted() : std::runtime_error("search budget exhausted") {}
-};
-
-/**
- * Thrown by importCache() for a checkpoint whose fingerprint does not
- * match the current run. Recoverable — the caller drops the checkpoint
- * and starts fresh — unlike fatal(), which signals user error.
- */
-class CheckpointMismatch : public std::runtime_error {
-  public:
-    explicit CheckpointMismatch(const std::string& what_arg)
-        : std::runtime_error(what_arg)
-    {
-    }
 };
 
 /** Per-evaluation resilience policy (retries, deadline, backoff). */
@@ -123,7 +109,7 @@ class SearchContext {
      * (uncached, first-occurrence) candidates run concurrently on a
      * thread pool; results are then committed strictly in submission
      * order, so the cache contents, EV/cache-hit/retry/quarantine
-     * counters, checkpoint snapshots and the point at which
+     * counters, memo publication order and the point at which
      * BudgetExhausted fires are identical to calling evaluate() in a
      * loop. Candidates past the budget are evaluated speculatively but
      * never committed.
@@ -189,13 +175,6 @@ class SearchContext {
     const std::shared_ptr<MemoTable>& memo() const { return memo_; }
 
     /**
-     * Name the evaluation function this context runs (benchmark,
-     * threshold, ...). exportCache() embeds it, and importCache()
-     * rejects checkpoints carrying a different fingerprint.
-     */
-    void setFingerprint(MemoFingerprint fingerprint);
-
-    /**
      * Install a cooperative cancellation flag: once it reads true the
      * next budget check throws BudgetExhausted, so a portfolio can
      * stop the remaining strategies after a winner finishes. Cache and
@@ -239,39 +218,12 @@ class SearchContext {
     /** True once a budget limit has been hit. */
     bool exhausted() const;
 
-    /** Receives exportCache() snapshots from the checkpoint hook. */
-    using CheckpointSink =
-        std::function<void(const support::json::Value&)>;
-
     /**
-     * Install a periodic checkpoint hook: after every
-     * @p everyExecutions executed configurations, @p sink receives an
-     * exportCache() snapshot. Pass 0 or an empty sink to disable.
-     * The sink runs under the context lock and must not call back
-     * into this context.
-     */
-    void setCheckpointHook(std::size_t everyExecutions,
-                           CheckpointSink sink);
-
-    /**
-     * Checkpoint: serialize every cached evaluation. A search that
-     * ran out of budget can be resumed in a fresh context (CRAFT's
-     * searches are resumable); resumed evaluations are cache hits and
-     * do not count against the new budget.
+     * Read-only snapshot of every committed evaluation:
+     * `{sites, evaluations: [{config, status, runtime_seconds,
+     * speedup, quality_loss}]}`, entries in unspecified order.
      */
     support::json::Value exportCache() const;
-
-    /**
-     * Restore a checkpoint produced by exportCache(). fatal()s on a
-     * malformed document or mismatched site count; throws the
-     * recoverable CheckpointMismatch — before touching the cache —
-     * when the checkpoint's embedded fingerprint differs from this
-     * context's, so stale evaluations from another benchmark or
-     * threshold never poison the run. Restored entries are published
-     * to an attached memo table (the checkpoint-to-memo migration
-     * path).
-     */
-    void importCache(const support::json::Value& checkpoint);
 
   private:
     /** Resilience counters accumulated by one evaluation task; merged
@@ -293,7 +245,6 @@ class SearchContext {
     Evaluation evaluateResilient(const Config& config,
                                  TaskCounters& counters,
                                  support::Pcg32& jitterRng);
-    support::json::Value exportCacheLocked() const;
 
     SearchProblem& problem_;
     SearchBudget budget_;
@@ -302,7 +253,6 @@ class SearchContext {
     /// Installed before the search, immutable after; MemoTable is
     /// internally synchronized, so no context lock is needed to use it.
     std::shared_ptr<MemoTable> memo_;
-    MemoFingerprint fingerprint_; ///< set before the search
     std::shared_ptr<const std::atomic<bool>> cancel_;
     support::Pcg32 retryRng_;
     support::WallTimer timer_;
@@ -318,8 +268,6 @@ class SearchContext {
     std::size_t deadlineMisses_ = 0;
     std::size_t quarantined_ = 0;
     bool exhausted_ = false;
-    std::size_t checkpointEvery_ = 0;
-    CheckpointSink checkpointSink_;
 
     std::size_t searchJobs_ = 1;
     BatchScheduling scheduling_ = BatchScheduling::Steal;

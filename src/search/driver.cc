@@ -1,7 +1,5 @@
 #include "search/driver.h"
 
-#include "support/logging.h"
-
 namespace hpcmixp::search {
 
 SearchResult
@@ -12,29 +10,10 @@ runSearch(SearchProblem& problem, SearchStrategy& strategy,
     ctx.setSearchJobs(run.searchJobs);
     if (run.prior.enabled())
         ctx.setPrior(run.prior);
-    if (run.fingerprint.valid())
-        ctx.setFingerprint(run.fingerprint);
     if (run.memo)
         ctx.setMemo(run.memo);
     if (run.cancel)
         ctx.setCancelFlag(run.cancel);
-    if (!run.initialCache.isNull()) {
-        // A checkpoint that no longer matches the problem (changed
-        // configuration, different granularity) or carries another
-        // run's fingerprint (stale benchmark/threshold) must not kill
-        // the campaign — the search simply starts fresh.
-        try {
-            ctx.importCache(run.initialCache);
-        } catch (const support::FatalError& e) {
-            support::warn(support::strCat(
-                "ignoring unusable search checkpoint: ", e.what()));
-        } catch (const CheckpointMismatch& e) {
-            support::warn(support::strCat(
-                "ignoring stale search checkpoint: ", e.what()));
-        }
-    }
-    if (run.checkpointEvery > 0 && run.checkpointSink)
-        ctx.setCheckpointHook(run.checkpointEvery, run.checkpointSink);
 
     SearchResult result;
     result.strategyCode = strategy.code();
@@ -66,11 +45,6 @@ runSearch(SearchProblem& problem, SearchStrategy& strategy,
         result.bestEvaluation.speedup = 1.0;
         result.bestEvaluation.qualityLoss = 0.0;
     }
-
-    // A final snapshot so the cache of a search that ran to completion
-    // (or timed out between periodic snapshots) is durable.
-    if (run.checkpointSink)
-        run.checkpointSink(ctx.exportCache());
     return result;
 }
 

@@ -32,17 +32,13 @@ struct SearchResult {
 };
 
 /**
- * Resilience/checkpoint wiring for one search run. Defaults leave
- * every knob off, reproducing a plain uninstrumented search.
+ * Resilience/memo wiring for one search run. Defaults leave every
+ * knob off, reproducing a plain uninstrumented search.
  */
 struct SearchRunOptions {
     ResiliencePolicy resilience;      ///< retry/deadline/backoff policy
-    std::size_t checkpointEvery = 0;  ///< executions per snapshot; 0 = off
-    SearchContext::CheckpointSink checkpointSink; ///< snapshot receiver
-    support::json::Value initialCache; ///< non-null: importCache() first
     std::size_t searchJobs = 1;       ///< intra-search batch parallelism
     StaticPrior prior;                ///< static sensitivity prior (Off = none)
-    MemoFingerprint fingerprint;      ///< evaluation-function identity
     std::shared_ptr<MemoTable> memo;  ///< persistent memo-cache table
     /// Cooperative cancellation (portfolio mode); null = never.
     std::shared_ptr<const std::atomic<bool>> cancel;
@@ -58,7 +54,7 @@ struct SearchRunOptions {
 SearchResult runSearch(SearchProblem& problem, SearchStrategy& strategy,
                        const SearchBudget& budget);
 
-/** As above, with resilience and checkpoint wiring. */
+/** As above, with resilience and memo wiring. */
 SearchResult runSearch(SearchProblem& problem, SearchStrategy& strategy,
                        const SearchBudget& budget,
                        const SearchRunOptions& run);
@@ -68,7 +64,7 @@ SearchResult runSearch(SearchProblem& problem,
                        const std::string& strategyCode,
                        const SearchBudget& budget);
 
-/** As above, with resilience and checkpoint wiring. */
+/** As above, with resilience and memo wiring. */
 SearchResult runSearch(SearchProblem& problem,
                        const std::string& strategyCode,
                        const SearchBudget& budget,

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 
 #include "support/logging.h"
 #include "support/string_util.h"
@@ -109,46 +108,6 @@ MemoFingerprint::hash() const
     return support::fnv1a64(describe());
 }
 
-support::json::Value
-MemoFingerprint::toJson() const
-{
-    using support::json::Value;
-    Value v = Value::object();
-    v.set("benchmark", Value::string(benchmark));
-    // The signature is a full 64-bit hash; JSON numbers cannot carry
-    // it exactly, so it travels as a decimal string.
-    v.set("input_signature",
-          Value::string(strCat(inputSignature)));
-    v.set("metric", Value::string(metric));
-    v.set("threshold", Value::number(threshold));
-    v.set("sites", Value::number(static_cast<double>(sites)));
-    v.set("ladder", Value::string(ladder));
-    return v;
-}
-
-std::optional<MemoFingerprint>
-MemoFingerprint::fromJson(const support::json::Value& v)
-{
-    if (!v.isObject() || !v.has("benchmark") ||
-        !v.has("input_signature") || !v.has("metric") ||
-        !v.has("threshold") || !v.has("sites") || !v.has("ladder"))
-        return std::nullopt;
-    MemoFingerprint fp;
-    fp.benchmark = v.at("benchmark").asString();
-    const std::string& sig = v.at("input_signature").asString();
-    char* end = nullptr;
-    fp.inputSignature = std::strtoull(sig.c_str(), &end, 10);
-    if (end != sig.c_str() + sig.size())
-        return std::nullopt;
-    fp.metric = v.at("metric").asString();
-    fp.threshold = v.at("threshold").asNumber();
-    fp.sites = static_cast<std::size_t>(v.at("sites").asLong());
-    fp.ladder = v.at("ladder").asString();
-    if (!fp.valid())
-        return std::nullopt;
-    return fp;
-}
-
 MemoTable::MemoTable(const std::string& path,
                      const MemoFingerprint& fingerprint)
     : fingerprint_(fingerprint), log_(path, fingerprint.describe())
@@ -246,49 +205,6 @@ MemoTable::entries() const
         all.insert(all.end(), shard.map.begin(), shard.map.end());
     }
     return all;
-}
-
-std::size_t
-MemoTable::seedFromCheckpoint(const support::json::Value& checkpoint)
-{
-    if (!checkpoint.isObject() || !checkpoint.has("sites") ||
-        !checkpoint.has("evaluations"))
-        return 0;
-    if (static_cast<std::size_t>(checkpoint.at("sites").asLong()) !=
-        fingerprint_.sites)
-        return 0;
-    if (checkpoint.has("fingerprint")) {
-        auto fp = MemoFingerprint::fromJson(
-            checkpoint.at("fingerprint"));
-        if (!fp || !(*fp == fingerprint_))
-            return 0; // a different evaluation function
-    }
-    std::size_t seeded = 0;
-    for (const auto& entry : checkpoint.at("evaluations").items()) {
-        if (!entry.isObject() || !entry.has("config") ||
-            !entry.has("status"))
-            continue;
-        const std::string& key = entry.at("config").asString();
-        if (key.size() != fingerprint_.sites)
-            continue;
-        auto status = evalStatusFromName(entry.at("status").asString());
-        if (!status)
-            continue;
-        Evaluation eval;
-        eval.status = *status;
-        auto num = [&](const char* name, double fallback) {
-            return entry.has(name) && !entry.at(name).isNull()
-                       ? entry.at(name).asNumber()
-                       : fallback;
-        };
-        eval.runtimeSeconds = num("runtime_seconds", 0.0);
-        eval.speedup = num("speedup", 0.0);
-        eval.qualityLoss = num(
-            "quality_loss", std::numeric_limits<double>::quiet_NaN());
-        if (publish(key, eval))
-            ++seeded;
-    }
-    return seeded;
 }
 
 MemoStore::MemoStore(std::string dir) : dir_(std::move(dir))

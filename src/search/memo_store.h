@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "search/problem.h"
-#include "support/json.h"
 #include "support/memo_log.h"
 
 namespace hpcmixp::search {
@@ -72,12 +71,6 @@ struct MemoFingerprint {
 
     /** Content address: hash of describe(). */
     std::uint64_t hash() const;
-
-    support::json::Value toJson() const;
-
-    /** Parse a toJson() document; nullopt when malformed. */
-    static std::optional<MemoFingerprint>
-    fromJson(const support::json::Value& v);
 
     bool operator==(const MemoFingerprint& other) const = default;
 };
@@ -119,15 +112,6 @@ class MemoTable {
 
     /** True when a stale segment (fingerprint change) was discarded. */
     bool invalidated() const { return invalidated_; }
-
-    /**
-     * Migration path: publish every ran evaluation of a
-     * SearchContext::exportCache() checkpoint document. Returns the
-     * number of newly recorded entries; a document whose site count or
-     * embedded fingerprint mismatches publishes nothing.
-     */
-    std::size_t
-    seedFromCheckpoint(const support::json::Value& checkpoint);
 
   private:
     static constexpr std::size_t kShards = 16;

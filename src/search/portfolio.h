@@ -43,7 +43,7 @@ struct PortfolioEntrant {
     std::shared_ptr<SearchStrategy> strategy;
     /// Granularity-matched problem this entrant searches.
     SearchProblem* problem = nullptr;
-    /// Per-entrant wiring: prior, memo table, fingerprint, parallelism.
+    /// Per-entrant wiring: prior, memo table, parallelism.
     SearchRunOptions run;
 };
 

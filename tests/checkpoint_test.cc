@@ -1,30 +1,44 @@
 /**
  * @file
- * Tests for search checkpoint/resume (CRAFT's searches are resumable):
- * a budget-truncated search exports its evaluation cache; a fresh
- * context restores it and finishes without re-executing anything.
+ * Tests for campaign resume (CRAFT's searches are resumable). The
+ * memo store is the only durable search state: a search cut short —
+ * by its budget or by a kill — leaves every evaluation it committed
+ * in its fingerprint's memo segment, and a resumed search replays
+ * them as memo hits that cost no EV and no budget. The harness adds a
+ * completed-jobs journal beside the segments, so a resumed campaign
+ * restores finished jobs outright and re-runs only the rest.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache_capture.h"
+#include "harness/harness.h"
 #include "search/combinational.h"
 #include "search/driver.h"
 #include "search/fault.h"
+#include "search/memo_store.h"
 #include "support/json.h"
-#include "support/logging.h"
+#include "support/yaml.h"
 
 namespace {
 
 using namespace hpcmixp::search;
-using hpcmixp::support::FatalError;
+using hpcmixp::harness::HarnessOptions;
+using hpcmixp::harness::JobResult;
+using hpcmixp::harness::parseConfig;
+using hpcmixp::harness::runJobs;
 using hpcmixp::support::json::Value;
+using hpcmixp::test::CacheCapture;
 
 /** Counts raw executions so resume behaviour is observable. */
 class CountingProblem : public SearchProblem {
@@ -54,128 +68,166 @@ class CountingProblem : public SearchProblem {
     std::size_t sites_;
 };
 
-/** Order-independent view of an exportCache() snapshot. */
-std::vector<std::string>
-canonicalCache(const Value& cache)
+MemoFingerprint
+testFingerprint(std::size_t sites)
 {
-    std::vector<std::string> dumps;
-    for (const auto& e : cache.at("evaluations").items())
-        dumps.push_back(e.dump());
-    std::sort(dumps.begin(), dumps.end());
-    return dumps;
+    MemoFingerprint fp;
+    fp.benchmark = "counting";
+    fp.inputSignature = 42;
+    fp.metric = "MAE";
+    fp.threshold = 1e-6;
+    fp.sites = sites;
+    return fp;
 }
+
+/** A path under gtest's temporary directory, removed first. */
+std::string
+freshPath(const std::string& name)
+{
+    std::string path = ::testing::TempDir() + name;
+    std::filesystem::remove_all(path);
+    return path;
+}
+
+/** Open the memo segment at @p path as a new process would. */
+std::shared_ptr<MemoTable>
+reopen(const std::string& path, std::size_t sites = 4)
+{
+    return std::make_shared<MemoTable>(path, testFingerprint(sites));
+}
+
+/** Every line of @p path after the header, in file order. */
+std::vector<std::string>
+recordLines(const std::string& path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    std::getline(in, line); // header
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/** Sorted (config, status) pairs of an exportCache() document. */
+std::vector<std::string>
+verdicts(const Value& cache)
+{
+    std::vector<std::string> out;
+    for (const auto& e : cache.at("evaluations").items())
+        out.push_back(e.at("config").asString() + "=" +
+                      e.at("status").asString());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+// --- search level: the memo segment is the durable search state ----
 
 TEST(Checkpoint, ResumedSearchDoesNotReExecute)
 {
+    std::string path = freshPath("resume_cb.log");
     CountingProblem problem(4);
 
-    // Phase 1: CB truncated after 5 executions.
+    // Phase 1: CB cut after 5 executions.
     CombinationalSearch cb;
     SearchContext first(problem, {5, 0.0});
+    first.setMemo(reopen(path));
     EXPECT_THROW(cb.run(first), BudgetExhausted);
     EXPECT_EQ(first.evaluatedCount(), 5u);
-    Value checkpoint = first.exportCache();
     int executedSoFar = problem.rawCalls_;
 
-    // Phase 2: resume with a fresh budget.
+    // Phase 2: a new process resumes over the same segment.
     SearchContext second(problem, {100, 0.0});
-    second.importCache(checkpoint);
+    second.setMemo(reopen(path));
     cb.run(second); // completes
     // Only the remaining 15 - 5 = 10 configs executed.
     EXPECT_EQ(second.evaluatedCount(), 10u);
+    EXPECT_EQ(second.memoHitCount(), 5u);
     EXPECT_EQ(problem.rawCalls_, executedSoFar + 10);
-
-    // The union of both phases covers the full space.
     EXPECT_EQ(first.evaluatedCount() + second.evaluatedCount(), 15u);
 }
 
 TEST(Checkpoint, RestoredBestSurvivesResume)
 {
+    std::string path = freshPath("resume_best.log");
     CountingProblem problem(4);
-    SearchContext first(problem, {100, 0.0});
     Config best = Config::withLowered(4, {1, 2, 3});
-    first.evaluate(best);
-    Value checkpoint = first.exportCache();
+    {
+        SearchContext first(problem, {100, 0.0});
+        first.setMemo(reopen(path));
+        first.evaluate(best);
+    }
 
+    // The resumed search meets the winner again as a memo hit, and
+    // the hit competes for best-so-far like an execution would.
     SearchContext second(problem, {100, 0.0});
-    second.importCache(checkpoint);
+    second.setMemo(reopen(path));
+    second.evaluate(best);
+    EXPECT_EQ(second.evaluatedCount(), 0u);
     ASSERT_TRUE(second.hasBest());
     EXPECT_EQ(second.bestConfig(), best);
     EXPECT_DOUBLE_EQ(second.bestEvaluation().speedup, 1.3);
 }
 
-TEST(Checkpoint, RoundTripsThroughJsonText)
-{
-    CountingProblem problem(3);
-    SearchContext ctx(problem, {100, 0.0});
-    ctx.evaluate(Config::withLowered(3, {1}));
-    ctx.evaluate(Config::withLowered(3, {0, 1}));
-    std::string text = ctx.exportCache().dump(2);
-
-    SearchContext restored(problem, {100, 0.0});
-    restored.importCache(hpcmixp::support::json::parse(text));
-    EXPECT_TRUE(restored.isCached(Config::withLowered(3, {1})));
-    EXPECT_TRUE(restored.isCached(Config::withLowered(3, {0, 1})));
-    EXPECT_FALSE(restored.isCached(Config::withLowered(3, {2})));
-}
-
 TEST(Checkpoint, ValidatesSiteCountAndShape)
 {
-    CountingProblem problem(3);
-    SearchContext ctx(problem, {100, 0.0});
-    ctx.evaluate(Config::withLowered(3, {1}));
-    Value checkpoint = ctx.exportCache();
-
-    CountingProblem other(5);
-    SearchContext mismatched(other, {100, 0.0});
-    EXPECT_THROW(mismatched.importCache(checkpoint), FatalError);
-
-    SearchContext fresh(problem, {100, 0.0});
-    EXPECT_THROW(fresh.importCache(Value::array()), FatalError);
+    // A segment written for 4 sites is no table for 5: the header
+    // names the fingerprint, so the wider table starts empty.
+    std::string path = freshPath("resume_shape.log");
+    reopen(path)->publish(Config::withLowered(4, {1}).toString(),
+                          CountingProblem(4).evaluate(
+                              Config::withLowered(4, {1})));
+    EXPECT_EQ(reopen(path)->size(), 1u);
+    auto wider = reopen(path, 5);
+    EXPECT_TRUE(wider->invalidated());
+    EXPECT_EQ(wider->size(), 0u);
 }
 
+/**
+ * The memo segment takes one durable record per execution — its
+ * "snapshot" advances with every commit, not every N. Cache hits and
+ * memo hits ran nothing and append nothing.
+ */
 TEST(Checkpoint, PeriodicHookFiresEveryNExecutions)
 {
+    std::string path = freshPath("resume_every.log");
     CountingProblem problem(4);
     SearchContext ctx(problem, {100, 0.0});
-    std::vector<Value> snapshots;
-    ctx.setCheckpointHook(
-        2, [&](const Value& v) { snapshots.push_back(v); });
-
-    for (std::size_t i = 0; i < 4; ++i)
+    ctx.setMemo(reopen(path));
+    for (std::size_t i = 0; i < 4; ++i) {
         ctx.evaluate(Config::withLowered(4, {i}));
-    ASSERT_EQ(snapshots.size(), 2u); // after executions 2 and 4
-    EXPECT_EQ(snapshots.back().at("evaluations").items().size(), 4u);
+        EXPECT_EQ(recordLines(path).size(), i + 1);
+    }
+    ctx.evaluate(Config::withLowered(4, {0})); // cache hit
+    EXPECT_EQ(recordLines(path).size(), 4u);
 
-    // A cache hit is not an execution and must not snapshot.
-    ctx.evaluate(Config::withLowered(4, {0}));
-    EXPECT_EQ(snapshots.size(), 2u);
+    SearchContext warm(problem, {100, 0.0});
+    warm.setMemo(reopen(path));
+    warm.evaluate(Config::withLowered(4, {0})); // memo hit
+    EXPECT_EQ(warm.memoHitCount(), 1u);
+    EXPECT_EQ(recordLines(path).size(), 4u);
 }
 
 TEST(Checkpoint, RunSearchResumesFromSnapshotWithCacheHits)
 {
-    // Phase 1: CB truncated after 5 executions, snapshotting every
-    // execution — the last snapshot is the state at the kill point.
+    std::string path = freshPath("resume_runsearch.log");
     CountingProblem problem(4);
     CombinationalSearch cb;
-    Value lastSnapshot;
     SearchRunOptions phase1;
-    phase1.checkpointEvery = 1;
-    phase1.checkpointSink = [&](const Value& v) { lastSnapshot = v; };
+    phase1.memo = reopen(path);
     auto truncated = runSearch(problem, cb, {5, 0.0}, phase1);
     EXPECT_TRUE(truncated.timedOut);
-    ASSERT_TRUE(lastSnapshot.isObject());
 
-    // Phase 2: a fresh run restores the snapshot and finishes; the
-    // restored evaluations surface as cache hits, not re-executions.
+    // The resumed run replays the cut run's evaluations as memo hits,
+    // not re-executions.
     SearchRunOptions phase2;
-    phase2.initialCache = lastSnapshot;
+    phase2.memo = reopen(path);
     int executedBefore = problem.rawCalls_;
     auto resumed = runSearch(problem, cb, {100, 0.0}, phase2);
     EXPECT_FALSE(resumed.timedOut);
-    EXPECT_EQ(resumed.evaluated, 10u); // 15 - 5 already cached
+    EXPECT_EQ(resumed.evaluated, 10u); // 15 - 5 already durable
+    EXPECT_EQ(resumed.memoHits, 5u);
     EXPECT_EQ(problem.rawCalls_, executedBefore + 10);
-    EXPECT_GE(resumed.cacheHits, 5u);
 
     // Same final answer as a never-interrupted search.
     CountingProblem fresh(4);
@@ -187,13 +239,23 @@ TEST(Checkpoint, RunSearchResumesFromSnapshotWithCacheHits)
 
 TEST(Checkpoint, UnusableInitialCacheIsIgnoredNotFatal)
 {
+    // A file that is no memo segment at all is reset, not fatal: the
+    // search simply starts fresh.
+    std::string path = freshPath("resume_garbage.log");
+    {
+        std::ofstream out(path);
+        out << "{\"not\": \"a memo segment\"}\n0000 torn";
+    }
+    auto memo = reopen(path);
+    EXPECT_TRUE(memo->invalidated());
     CountingProblem problem(4);
     CombinationalSearch cb;
     SearchRunOptions run;
-    run.initialCache = Value::array(); // not a checkpoint document
+    run.memo = memo;
     auto result = runSearch(problem, cb, {100, 0.0}, run);
     EXPECT_FALSE(result.timedOut);
-    EXPECT_EQ(result.evaluated, 15u); // started fresh
+    EXPECT_EQ(result.evaluated, 15u);
+    EXPECT_EQ(memo->size(), 15u);
 }
 
 TEST(Checkpoint, NaNQualityLossSurvivesSerialization)
@@ -213,92 +275,260 @@ TEST(Checkpoint, NaNQualityLossSurvivesSerialization)
             return eval;
         }
     };
+    std::string path = freshPath("resume_nan.log");
     NaNProblem problem;
-    SearchContext ctx(problem, {100, 0.0});
-    ctx.evaluate(Config::allLowered(1));
-    auto text = ctx.exportCache().dump();
-
+    {
+        SearchContext ctx(problem, {100, 0.0});
+        ctx.setMemo(reopen(path, 1));
+        ctx.evaluate(Config::allLowered(1));
+    }
     SearchContext restored(problem, {100, 0.0});
-    restored.importCache(hpcmixp::support::json::parse(text));
-    const auto& eval =
-        restored.evaluate(Config::allLowered(1)); // cache hit
+    restored.setMemo(reopen(path, 1));
+    const auto& eval = restored.evaluate(Config::allLowered(1));
     EXPECT_TRUE(std::isnan(eval.qualityLoss));
     EXPECT_EQ(restored.evaluatedCount(), 0u);
+    EXPECT_EQ(restored.memoHitCount(), 1u);
 }
 
 /**
- * Ordered commit makes every checkpoint *prefix* deterministic, not
- * just the final state: the sequence of periodic snapshots a parallel
- * batch produces is identical to the serial one.
+ * Ordered commit makes every durable *prefix* deterministic, not just
+ * the final state: the memo segment records appear in the same order
+ * under serial and 4-worker batches, so whatever a kill leaves behind
+ * is a prefix of the serial trajectory.
  */
 TEST(Checkpoint, PeriodicSnapshotsMatchSerialUnderParallelBatches)
 {
-    auto snapshots = [](std::size_t jobs) {
-        CountingProblem problem(4);
+    auto segment = [](std::size_t jobs) {
+        std::string path =
+            freshPath("resume_order_" + std::to_string(jobs) + ".log");
+        CountingProblem problem(6);
         SearchContext ctx(problem, {100, 0.0});
         ctx.setSearchJobs(jobs);
-        std::vector<std::vector<std::string>> dumps;
-        ctx.setCheckpointHook(2, [&](const Value& v) {
-            dumps.push_back(canonicalCache(v));
-        });
+        ctx.setMemo(reopen(path, 6));
         std::vector<Config> batch;
-        for (std::size_t i = 0; i < 4; ++i)
-            batch.push_back(Config::withLowered(4, {i}));
-        batch.push_back(Config::withLowered(4, {0})); // duplicate
-        batch.push_back(Config::withLowered(4, {1, 2}));
+        for (std::size_t i = 0; i < 6; ++i)
+            batch.push_back(Config::withLowered(6, {i}));
+        batch.push_back(Config::withLowered(6, {0})); // duplicate
+        for (std::size_t i = 0; i + 1 < 6; ++i)
+            batch.push_back(Config::withLowered(6, {i, i + 1}));
         ctx.evaluateBatch(batch);
-        return dumps;
+        return recordLines(path);
     };
-    auto serial = snapshots(1);
-    auto parallel = snapshots(4);
-    ASSERT_EQ(serial.size(), 2u); // snapshots after executions 2 and 4
-    EXPECT_EQ(parallel, serial);
+    auto serial = segment(1);
+    ASSERT_EQ(serial.size(), 11u);
+    EXPECT_EQ(segment(4), serial);
 }
 
 /**
- * Checkpoint JSON written by a faulty parallel campaign round-trips
- * identically to the serial campaign's: same entries (including the
- * quarantined runtime_fail ones), and importing the parallel snapshot
- * reproduces it bit-for-bit on re-export.
+ * A faulty parallel campaign leaves the same memo segment — records,
+ * order, quarantined runtime_fail entries and all — as the serial
+ * one, and reopening it yields exactly the evaluations the search
+ * committed.
  */
 TEST(Checkpoint, FaultyParallelCheckpointRoundTripsIdentically)
 {
-    using hpcmixp::search::FaultPlan;
-    using hpcmixp::search::FaultyProblem;
-
-    auto campaign = [](std::size_t jobs) {
+    auto campaign = [](std::size_t jobs, Value& cache) {
+        std::string path =
+            freshPath("resume_faulty_" + std::to_string(jobs) + ".log");
         CountingProblem inner(4);
         FaultPlan plan;
         plan.crashRate = 0.5;
         plan.seed = 17;
         FaultyProblem faulty(inner, plan);
-        CombinationalSearch cb;
+        CacheCapture capture(std::make_unique<CombinationalSearch>());
         SearchRunOptions run;
         run.resilience.maxAttempts = 2;
         run.resilience.sleepBetweenRetries = false;
         run.searchJobs = jobs;
-        Value cache;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
-        runSearch(faulty, cb, {1000, 0.0}, run);
-        return cache;
+        run.memo = reopen(path);
+        runSearch(faulty, capture, {1000, 0.0}, run);
+        cache = capture.cache();
+        return path;
     };
-    Value serial = campaign(1);
-    Value parallel = campaign(4);
-    EXPECT_EQ(canonicalCache(parallel), canonicalCache(serial));
+    Value serialCache, parallelCache;
+    std::string serial = campaign(1, serialCache);
+    std::string parallel = campaign(4, parallelCache);
+    EXPECT_EQ(recordLines(parallel), recordLines(serial));
+    EXPECT_EQ(verdicts(parallelCache), verdicts(serialCache));
 
     // The stress run did quarantine something, so the equality above
     // covers failure entries, not just clean ones.
-    std::size_t runtimeFails = 0;
-    for (const auto& e : parallel.at("evaluations").items())
-        if (e.at("status").asString() == "runtime_fail")
-            ++runtimeFails;
-    EXPECT_GT(runtimeFails, 0u);
+    auto all = verdicts(parallelCache);
+    EXPECT_TRUE(std::any_of(all.begin(), all.end(), [](const auto& v) {
+        return v.find("=runtime_fail") != std::string::npos;
+    }));
 
-    CountingProblem fresh(4);
-    SearchContext restored(fresh, {1000, 0.0});
-    restored.importCache(parallel);
-    EXPECT_EQ(canonicalCache(restored.exportCache()),
-              canonicalCache(parallel));
+    std::vector<std::string> reopened;
+    for (const auto& [key, eval] : reopen(parallel)->entries())
+        reopened.push_back(key + "=" + evalStatusName(eval.status));
+    std::sort(reopened.begin(), reopened.end());
+    EXPECT_EQ(reopened, all);
+}
+
+// --- harness level: the completed-jobs journal ----------------------
+
+const char* kThreeJobs =
+    "tridiag:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
+    "      name: 'floatsmith'\n      extra_args:\n"
+    "        algorithm: 'ddebug'\n"
+    "iccg:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
+    "      name: 'floatsmith'\n      extra_args:\n"
+    "        algorithm: 'combinational'\n"
+    "hydro-1d:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
+    "      name: 'floatsmith'\n      extra_args:\n"
+    "        algorithm: 'compositional'\n";
+
+/** The first @p n jobs of kThreeJobs. */
+std::vector<hpcmixp::harness::JobSpec>
+threeJobs(std::size_t n = 3)
+{
+    auto jobs = parseConfig(hpcmixp::support::yaml::parse(kThreeJobs));
+    jobs.resize(n);
+    return jobs;
+}
+
+HarnessOptions
+campaignOptions(const std::string& dir)
+{
+    HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    options.tuner.budget = {200, 0.0};
+    options.memoCacheDir = dir;
+    return options;
+}
+
+/** The memo directory's one job journal. */
+std::string
+journalPath(const std::string& dir)
+{
+    std::vector<std::string> found;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().filename().string().rfind("jobs-", 0) == 0)
+            found.push_back(entry.path().string());
+    EXPECT_EQ(found.size(), 1u);
+    return found.empty() ? std::string() : found.front();
+}
+
+void
+expectSameResult(const JobResult& restored, const JobResult& original)
+{
+    ASSERT_TRUE(restored.error.empty()) << restored.error;
+    const auto& a = restored.result;
+    const auto& b = original.result;
+    EXPECT_EQ(a.analysis, b.analysis);
+    EXPECT_EQ(a.detail, b.detail);
+    EXPECT_EQ(a.speedup, b.speedup);
+    EXPECT_EQ(a.qualityLoss, b.qualityLoss);
+    EXPECT_EQ(a.evaluated, b.evaluated);
+    EXPECT_EQ(a.compileFailures, b.compileFailures);
+    EXPECT_EQ(a.cacheHits, b.cacheHits);
+    EXPECT_EQ(a.memoHits, b.memoHits);
+    EXPECT_EQ(a.timedOut, b.timedOut);
+    EXPECT_EQ(a.configuration, b.configuration);
+}
+
+/** Journalled results survive their JSON text round trip exactly. */
+TEST(Checkpoint, RoundTripsThroughJsonText)
+{
+    std::string dir = freshPath("resume_roundtrip");
+    HarnessOptions options = campaignOptions(dir);
+    auto first = runJobs(threeJobs(1), options);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+
+    options.resume = true;
+    auto second = runJobs(threeJobs(1), options);
+    ASSERT_TRUE(second[0].restored);
+    expectSameResult(second[0], first[0]);
+}
+
+TEST(Resume, PartialCampaignRestoresCompletedJobsAndRunsNewOnes)
+{
+    // Two jobs complete concurrently (their journal appends share one
+    // mutex); the resumed three-job campaign restores both and runs
+    // only the new one.
+    std::string dir = freshPath("resume_partial");
+    HarnessOptions options = campaignOptions(dir);
+    options.jobs = 2;
+    auto first = runJobs(threeJobs(2), options);
+    for (const auto& r : first)
+        ASSERT_TRUE(r.error.empty()) << r.error;
+
+    options.resume = true;
+    auto second = runJobs(threeJobs(), options);
+    ASSERT_EQ(second.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(second[i].restored) << i;
+        expectSameResult(second[i], first[i]);
+    }
+    EXPECT_FALSE(second[2].restored);
+    EXPECT_TRUE(second[2].error.empty()) << second[2].error;
+    EXPECT_GT(second[2].result.evaluated, 0u);
+}
+
+TEST(Resume, TornJournalTailReRunsOnlyThatJob)
+{
+    std::string dir = freshPath("resume_torn");
+    HarnessOptions options = campaignOptions(dir);
+    auto first = runJobs(threeJobs(2), options);
+    for (const auto& r : first)
+        ASSERT_TRUE(r.error.empty()) << r.error;
+
+    // A kill mid-append leaves the last record without its newline
+    // and with a bad checksum.
+    std::string journal = journalPath(dir);
+    auto size = std::filesystem::file_size(journal);
+    std::filesystem::resize_file(journal, size - 7);
+
+    options.resume = true;
+    auto second = runJobs(threeJobs(2), options);
+    EXPECT_TRUE(second[0].restored);
+    expectSameResult(second[0], first[0]);
+    EXPECT_FALSE(second[1].restored);
+    ASSERT_TRUE(second[1].error.empty()) << second[1].error;
+    // Re-run, not re-executed: every evaluation is a memo hit.
+    EXPECT_EQ(second[1].result.evaluated, 0u);
+    EXPECT_EQ(second[1].result.memoHits, first[1].result.evaluated);
+    EXPECT_EQ(second[1].result.configuration,
+              first[1].result.configuration);
+
+    // The re-run job was journalled again, so now both restore.
+    auto third = runJobs(threeJobs(2), options);
+    EXPECT_TRUE(third[0].restored);
+    EXPECT_TRUE(third[1].restored);
+}
+
+TEST(Resume, OtherCampaignHeaderRestoresNothing)
+{
+    std::string dir = freshPath("resume_header");
+    HarnessOptions options = campaignOptions(dir);
+    auto first = runJobs(threeJobs(1), options);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+
+    // Another budget is another campaign: its journal is a different
+    // file, so nothing is restored (memo hits still apply).
+    HarnessOptions other = options;
+    other.resume = true;
+    other.tuner.budget = {150, 0.0};
+    auto second = runJobs(threeJobs(1), other);
+    EXPECT_FALSE(second[0].restored);
+    ASSERT_TRUE(second[0].error.empty()) << second[0].error;
+
+    // So is another fault plan or resilience policy: both change the
+    // retry and quarantine counts a journalled result carries.
+    HarnessOptions faulty = options;
+    faulty.resume = true;
+    faulty.tuner.faultPlan.crashRate = 0.05;
+    faulty.tuner.resilience.maxAttempts = 3;
+    faulty.tuner.resilience.sleepBetweenRetries = false;
+    auto fourth = runJobs(threeJobs(1), faulty);
+    EXPECT_FALSE(fourth[0].restored);
+    ASSERT_TRUE(fourth[0].error.empty()) << fourth[0].error;
+
+    // The original campaign's journal is untouched.
+    options.resume = true;
+    auto third = runJobs(threeJobs(1), options);
+    EXPECT_TRUE(third[0].restored);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache_capture.h"
 #include "core/tuner.h"
 #include "search/fault.h"
 #include "support/logging.h"
@@ -453,7 +454,6 @@ TEST(Resilience, BatchParallelMatchesSerialUnderInjection)
  */
 TEST(Resilience, ParallelQuarantineSetMatchesSerial)
 {
-    using hpcmixp::support::json::Value;
     auto quarantineKeys = [&](std::size_t jobs,
                               std::size_t& quarantined) {
         ScriptedProblem inner(false);
@@ -465,13 +465,12 @@ TEST(Resilience, ParallelQuarantineSetMatchesSerial)
         run.resilience.maxAttempts = 2;
         run.resilience.sleepBetweenRetries = false;
         run.searchJobs = jobs;
-        Value cache;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
+        test::CacheCapture capture("CB");
         auto result =
-            search::runSearch(faulty, "CB", {100000, 0.0}, run);
+            search::runSearch(faulty, capture, {100000, 0.0}, run);
         quarantined = result.quarantined;
         std::vector<std::string> keys;
-        for (const auto& e : cache.at("evaluations").items())
+        for (const auto& e : capture.cache().at("evaluations").items())
             if (e.at("status").asString() == "runtime_fail")
                 keys.push_back(e.at("config").asString());
         std::sort(keys.begin(), keys.end());

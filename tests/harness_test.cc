@@ -4,11 +4,12 @@
  * Listing-4 schema, the analysis plugin registry, and job execution.
  */
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -264,13 +265,24 @@ TEST(HarnessRun, NonStandardExceptionIsContainedInJobError)
     EXPECT_GT(results[1].result.speedup, 0.0);
 }
 
-/** Unique scratch path under gtest's temporary directory. */
+/** A fresh (removed) scratch directory under gtest's temporary one. */
 std::string
-scratchFile(const char* name)
+scratchDir(const char* name)
 {
-    std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
+    std::string dir = ::testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/** The job-journal files in memo directory @p dir. */
+std::vector<std::filesystem::path>
+journals(const std::string& dir)
+{
+    std::vector<std::filesystem::path> found;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().filename().string().rfind("jobs-", 0) == 0)
+            found.push_back(entry.path());
+    return found;
 }
 
 TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
@@ -281,12 +293,12 @@ TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
         "iccg:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
         "      name: 'singleprecision'\n";
     auto jobs = parseConfig(support::yaml::parse(kTwoJobs));
-    std::string path = scratchFile("hpcmixp_campaign.ckpt.json");
+    std::string dir = scratchDir("hpcmixp_campaign_memo");
 
     HarnessOptions options;
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
-    options.checkpointPath = path;
+    options.memoCacheDir = dir;
     auto first = runJobs(jobs, options);
     ASSERT_EQ(first.size(), 2u);
     for (const auto& r : first) {
@@ -294,18 +306,18 @@ TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
         EXPECT_FALSE(r.restored);
     }
 
-    // The checkpoint file records both completed jobs.
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto doc = support::json::parse(text.str());
-    EXPECT_EQ(doc.at("completed").keys().size(), 2u);
-    EXPECT_EQ(doc.at("caches").keys().size(), 0u);
+    // One journal: a header line plus one record per completed job.
+    auto files = journals(dir);
+    ASSERT_EQ(files.size(), 1u);
+    std::ifstream in(files[0]);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        ++lines;
+    EXPECT_EQ(lines, 3u);
 
     // Resuming re-runs nothing and reproduces the results table.
     HarnessOptions resumeOptions = options;
-    resumeOptions.resumePath = path;
+    resumeOptions.resume = true;
     auto second = runJobs(jobs, resumeOptions);
     ASSERT_EQ(second.size(), 2u);
     for (std::size_t i = 0; i < second.size(); ++i) {
@@ -315,16 +327,16 @@ TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
         EXPECT_EQ(second[i].result.configuration,
                   first[i].result.configuration);
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(HarnessCheckpoint, PartialResumeRunsOnlyUnfinishedJobs)
 {
-    std::string path = scratchFile("hpcmixp_partial.ckpt.json");
+    std::string dir = scratchDir("hpcmixp_partial_memo");
     HarnessOptions options;
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
-    options.checkpointPath = path;
+    options.memoCacheDir = dir;
 
     // Phase 1: a campaign that only got through its first job.
     auto shortJobs = parseConfig(support::yaml::parse(
@@ -342,7 +354,7 @@ TEST(HarnessCheckpoint, PartialResumeRunsOnlyUnfinishedJobs)
         "iccg:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
         "      name: 'singleprecision'\n"));
     HarnessOptions resumeOptions = options;
-    resumeOptions.resumePath = path;
+    resumeOptions.resume = true;
     auto second = runJobs(fullJobs, resumeOptions);
     ASSERT_EQ(second.size(), 2u);
     EXPECT_TRUE(second[0].restored);
@@ -350,38 +362,30 @@ TEST(HarnessCheckpoint, PartialResumeRunsOnlyUnfinishedJobs)
                      first[0].result.speedup);
     EXPECT_FALSE(second[1].restored);
     EXPECT_TRUE(second[1].error.empty()) << second[1].error;
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(HarnessCheckpoint, PartialSearchCacheResumesWithCacheHits)
 {
-    // Fabricate the checkpoint of a campaign that was killed while
-    // searching tridiag: no completed jobs, but the search cache
+    // Fabricate the memo directory of a campaign that was killed
+    // while searching tridiag: no journalled job, but the memo table
     // already holds evaluations DD is certain to query again.
-    auto benchmark =
-        benchmarks::BenchmarkRegistry::instance().create("tridiag");
-    core::TunerOptions tunerOptions;
-    tunerOptions.searchReps = 1;
-    tunerOptions.finalReps = 3;
-    tunerOptions.threshold = 1e-3;
-    core::BenchmarkTuner tuner(*benchmark, tunerOptions);
-    search::SearchContext ctx(tuner.searchClusterProblem(),
-                              {1000, 0.0});
-    ctx.evaluate(search::Config(tuner.clusterCount()));
-    ctx.evaluate(search::Config::allLowered(tuner.clusterCount()));
-
-    using support::json::Value;
-    Value root = Value::object();
-    root.set("version", Value::number(1));
-    root.set("completed", Value::object());
-    Value caches = Value::object();
-    caches.set("0:tridiag/floatsmith", ctx.exportCache());
-    root.set("caches", std::move(caches));
-    std::string path = scratchFile("hpcmixp_cache.ckpt.json");
+    std::string dir = scratchDir("hpcmixp_killed_search_memo");
     {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good());
-        out << root.dump(2) << '\n';
+        auto benchmark =
+            benchmarks::BenchmarkRegistry::instance().create("tridiag");
+        core::TunerOptions tunerOptions;
+        tunerOptions.searchReps = 1;
+        tunerOptions.finalReps = 3;
+        tunerOptions.threshold = 1e-3;
+        tunerOptions.memoStore = std::make_shared<search::MemoStore>(dir);
+        core::BenchmarkTuner tuner(*benchmark, tunerOptions);
+        search::SearchContext ctx(tuner.searchClusterProblem(),
+                                  {1000, 0.0});
+        ctx.setMemo(tuner.runOptionsFor(search::Granularity::Cluster)
+                        .memo);
+        ctx.evaluate(search::Config(tuner.clusterCount()));
+        ctx.evaluate(search::Config::allLowered(tuner.clusterCount()));
     }
 
     auto jobs = parseConfig(support::yaml::parse(
@@ -392,13 +396,26 @@ TEST(HarnessCheckpoint, PartialSearchCacheResumesWithCacheHits)
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
     options.tuner.budget = {1000, 0.0};
-    options.resumePath = path;
+    options.memoCacheDir = dir;
+    options.resume = true;
     auto results = runJobs(jobs, options);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].error.empty()) << results[0].error;
     EXPECT_FALSE(results[0].restored); // resumed, not restored whole
-    EXPECT_GT(results[0].result.cacheHits, 0u);
-    std::remove(path.c_str());
+    EXPECT_GT(results[0].result.memoHits, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(HarnessCheckpoint, ResumeNeedsAnExistingMemoDirectory)
+{
+    auto jobs = parseConfig(support::yaml::parse(
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
+        "      name: 'singleprecision'\n"));
+    HarnessOptions options;
+    options.resume = true;
+    EXPECT_THROW(runJobs(jobs, options), FatalError);
+    options.memoCacheDir = scratchDir("hpcmixp_missing_memo");
+    EXPECT_THROW(runJobs(jobs, options), FatalError);
 }
 
 TEST(HarnessMemo, WarmCampaignRerunExecutesNothing)
@@ -505,6 +522,35 @@ TEST(HarnessRun, PrecimoniousAnalysisReportsCompileFailures)
     EXPECT_EQ(results[0].result.analysis, "precimonious");
     // Cluster-blind DD must waste attempts on invalid configurations.
     EXPECT_GT(results[0].result.compileFailures, 0u);
+}
+
+TEST(HarnessRun, PrecimoniousUsesVariableLevelMemoAndPrior)
+{
+    // lavamd has more variables than clusters, so a memo table or
+    // prior sized for clusters would not fit the variable problem.
+    std::string dir = scratchDir("hpcmixp_precimonious_memo");
+    auto jobs = parseConfig(support::yaml::parse(
+        "lavamd:\n  threshold: 1e-8\n  analysis:\n    prec:\n"
+        "      name: 'precimonious'\n"));
+    HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    options.tuner.budget = {200, 0.0};
+    options.tuner.staticPrior = search::PriorMode::On;
+    options.memoCacheDir = dir;
+
+    auto cold = runJobs(jobs, options);
+    ASSERT_EQ(cold.size(), 1u);
+    ASSERT_TRUE(cold[0].error.empty()) << cold[0].error;
+    EXPECT_GT(cold[0].result.evaluated, 0u);
+
+    auto warm = runJobs(jobs, options);
+    ASSERT_TRUE(warm[0].error.empty()) << warm[0].error;
+    EXPECT_EQ(warm[0].result.evaluated, 0u);
+    EXPECT_GT(warm[0].result.memoHits, 0u);
+    EXPECT_EQ(warm[0].result.configuration,
+              cold[0].result.configuration);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

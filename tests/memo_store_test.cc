@@ -31,7 +31,6 @@ namespace {
 
 using namespace hpcmixp::search;
 using hpcmixp::support::AppendLog;
-using hpcmixp::support::FatalError;
 using hpcmixp::support::fnv1a64;
 using hpcmixp::support::json::Value;
 
@@ -222,20 +221,6 @@ TEST(MemoFingerprint, HashSeparatesEveryField)
         EXPECT_NE(changed.hash(), base.hash());
         EXPECT_NE(changed.describe(), base.describe());
     }
-}
-
-TEST(MemoFingerprint, JsonRoundTripIsExact)
-{
-    MemoFingerprint fp = testFingerprint(7);
-    // A signature above 2^53 would lose bits through a double; the
-    // JSON path must carry all 64.
-    fp.inputSignature = 0xfedcba9876543210ull;
-    fp.threshold = 0.1; // not exactly representable
-    auto back = MemoFingerprint::fromJson(fp.toJson());
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, fp);
-    EXPECT_FALSE(
-        MemoFingerprint::fromJson(Value::array()).has_value());
 }
 
 // --- MemoTable -------------------------------------------------------
@@ -431,7 +416,6 @@ TEST(MemoSearch, WarmRerunExecutesNothing)
     // Cold run: everything executes, everything is published.
     CountingProblem cold(4);
     SearchRunOptions run;
-    run.fingerprint = fp;
     run.memo = std::make_shared<MemoTable>(path, fp);
     auto coldResult = runSearch(cold, cb, {100, 0.0}, run);
     EXPECT_EQ(coldResult.evaluated, 15u);
@@ -442,7 +426,6 @@ TEST(MemoSearch, WarmRerunExecutesNothing)
     // disk. Zero executions, all memo hits, identical answer.
     CountingProblem warm(4);
     SearchRunOptions rerun;
-    rerun.fingerprint = fp;
     rerun.memo = std::make_shared<MemoTable>(path, fp);
     auto warmResult = runSearch(warm, cb, {100, 0.0}, rerun);
     EXPECT_EQ(warmResult.evaluated, 0u);
@@ -465,7 +448,6 @@ TEST(MemoSearch, WarmCacheDoesNotChangeCommittedTrajectory)
     auto exportRun = [&](std::shared_ptr<MemoTable> memo,
                          CountingProblem& problem) {
         SearchContext ctx(problem, {100, 0.0});
-        ctx.setFingerprint(fp);
         if (memo)
             ctx.setMemo(memo);
         cb.run(ctx);
@@ -494,7 +476,6 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
 
     CountingProblem problem(4);
     SearchContext ctx(problem, {100, 0.0});
-    ctx.setFingerprint(fp);
     ctx.setMemo(memo);
     ctx.setSearchJobs(4);
     std::vector<Config> batch = {
@@ -511,105 +492,6 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
     EXPECT_EQ(problem.rawCalls_.load(), 2);
     // The fresh work was published back for the next run.
     EXPECT_EQ(memo->size(), 4u);
-}
-
-TEST(MemoSearch, SeedFromCheckpointMigratesOldCampaigns)
-{
-    CountingProblem problem(4);
-    SearchContext ctx(problem, {100, 0.0});
-    ctx.evaluate(Config::withLowered(4, {1}));
-    ctx.evaluate(Config::withLowered(4, {1, 2}));
-    Value checkpoint = ctx.exportCache();
-
-    std::string path = freshPath("memo_seed.log");
-    MemoFingerprint fp = testFingerprint(4);
-    MemoTable table(path, fp);
-    EXPECT_EQ(table.seedFromCheckpoint(checkpoint), 2u);
-    EXPECT_EQ(table.size(), 2u);
-    // Re-seeding is idempotent.
-    EXPECT_EQ(table.seedFromCheckpoint(checkpoint), 0u);
-
-    // A checkpoint of a different problem shape publishes nothing.
-    CountingProblem other(6);
-    SearchContext otherCtx(other, {100, 0.0});
-    otherCtx.evaluate(Config::withLowered(6, {0, 5}));
-    EXPECT_EQ(table.seedFromCheckpoint(otherCtx.exportCache()), 0u);
-}
-
-TEST(MemoSearch, ImportCacheFeedsAttachedMemo)
-{
-    CountingProblem problem(4);
-    SearchContext source(problem, {100, 0.0});
-    source.evaluate(Config::withLowered(4, {2}));
-    Value checkpoint = source.exportCache();
-
-    std::string path = freshPath("memo_import.log");
-    MemoFingerprint fp = testFingerprint(4);
-    auto memo = std::make_shared<MemoTable>(path, fp);
-    SearchContext restored(problem, {100, 0.0});
-    restored.setFingerprint(fp);
-    restored.setMemo(memo);
-    restored.importCache(checkpoint);
-    EXPECT_EQ(memo->size(), 1u);
-}
-
-// --- checkpoint fingerprint validation ------------------------------
-
-TEST(MemoCheckpoint, MismatchedFingerprintIsRecoverablyRejected)
-{
-    CountingProblem problem(4);
-    MemoFingerprint fp = testFingerprint(4);
-
-    SearchContext source(problem, {100, 0.0});
-    source.setFingerprint(fp);
-    source.evaluate(Config::withLowered(4, {1}));
-    Value checkpoint = source.exportCache();
-    ASSERT_TRUE(checkpoint.has("fingerprint"));
-
-    // Same shape, different threshold: rejected *recoverably*, before
-    // anything lands in the cache.
-    MemoFingerprint other = fp;
-    other.threshold = 1e-2;
-    SearchContext target(problem, {100, 0.0});
-    target.setFingerprint(other);
-    EXPECT_THROW(target.importCache(checkpoint), CheckpointMismatch);
-    EXPECT_FALSE(target.isCached(Config::withLowered(4, {1})));
-
-    // Matching fingerprints import normally.
-    SearchContext match(problem, {100, 0.0});
-    match.setFingerprint(fp);
-    match.importCache(checkpoint);
-    EXPECT_TRUE(match.isCached(Config::withLowered(4, {1})));
-
-    // A site-count mismatch is still the fatal shape error.
-    CountingProblem narrow(2);
-    SearchContext shaped(narrow, {100, 0.0});
-    shaped.setFingerprint(testFingerprint(2));
-    EXPECT_THROW(shaped.importCache(checkpoint), FatalError);
-}
-
-TEST(MemoCheckpoint, RunSearchIgnoresStaleFingerprintCheckpoint)
-{
-    CountingProblem problem(4);
-    MemoFingerprint fp = testFingerprint(4);
-    SearchContext source(problem, {100, 0.0});
-    source.setFingerprint(fp);
-    source.evaluate(Config::withLowered(4, {1}));
-    Value checkpoint = source.exportCache();
-
-    // The driver treats the stale checkpoint like a missing one: the
-    // search starts fresh instead of dying.
-    MemoFingerprint other = fp;
-    other.benchmark = "renamed";
-    CombinationalSearch cb;
-    SearchRunOptions run;
-    run.fingerprint = other;
-    run.initialCache = checkpoint;
-    CountingProblem fresh(4);
-    auto result = runSearch(fresh, cb, {100, 0.0}, run);
-    EXPECT_FALSE(result.timedOut);
-    EXPECT_EQ(result.evaluated, 15u);
-    EXPECT_EQ(result.cacheHits, 0u);
 }
 
 // --- MemoStore -------------------------------------------------------

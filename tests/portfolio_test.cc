@@ -198,7 +198,6 @@ TEST(Portfolio, SharedMemoPreservesTrajectoriesAndSavesWork)
             PortfolioEntrant entrant;
             entrant.code = code;
             entrant.problem = &problem;
-            entrant.run.fingerprint = memo->fingerprint();
             entrant.run.memo = memo;
             entrants.push_back(std::move(entrant));
         }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache_capture.h"
 #include "search/driver.h"
 #include "search/genetic.h"
 #include "support/json.h"
@@ -23,6 +24,7 @@
 namespace {
 
 using namespace hpcmixp::search;
+using hpcmixp::test::CacheCapture;
 using hpcmixp::support::Pcg32;
 
 /**
@@ -246,10 +248,10 @@ TEST_P(SearchProperty, ParallelBatchesMatchSerialTrajectory)
             StructuredRandomProblem problem(7, GetParam());
             SearchRunOptions run;
             run.searchJobs = jobs;
-            run.checkpointSink = [&cache](const Value& v) {
-                cache = v;
-            };
-            return runSearch(problem, code, bigBudget(), run);
+            CacheCapture capture(code);
+            auto result = runSearch(problem, capture, bigBudget(), run);
+            cache = capture.cache();
+            return result;
         };
         Value serialCache, parallelCache;
         auto serial = runWith(1, serialCache);
@@ -409,11 +411,11 @@ TEST_P(SearchProperty, ParallelBudgetTruncationMatchesSerial)
                 StructuredRandomProblem problem(7, GetParam());
                 SearchRunOptions run;
                 run.searchJobs = jobs;
-                run.checkpointSink = [&cache](const Value& v) {
-                    cache = v;
-                };
-                return runSearch(problem, code,
-                                 SearchBudget{cap, 0.0}, run);
+                CacheCapture capture(code);
+                auto result = runSearch(problem, capture,
+                                        SearchBudget{cap, 0.0}, run);
+                cache = capture.cache();
+                return result;
             };
             Value serialCache, parallelCache;
             auto serial = runWith(1, serialCache);
@@ -546,10 +548,9 @@ TEST_P(SearchProperty, DefaultLadderMatchesPreLadderTrajectoryGolden)
     const std::uint64_t seed = GetParam();
     for (const char* code : {"CB", "CM", "DD", "HR", "HC", "GA"}) {
         TrajectoryProblem problem(7, seed);
-        Value cache;
-        SearchRunOptions run;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
-        auto result = runSearch(problem, code, bigBudget(), run);
+        CacheCapture capture(code);
+        auto result = runSearch(problem, capture, bigBudget());
+        const Value& cache = capture.cache();
 
         std::string blob;
         for (const auto& key : problem.trajectory) {
@@ -742,11 +743,11 @@ TEST_P(SearchProperty, ThreeRungPriorCapsAreNeverExceeded)
 
     for (const char* code : {"CB", "CM", "DD", "HR", "HC"}) {
         StructuredLadderProblem problem(sites, 2, GetParam());
-        Value cache;
         SearchRunOptions run;
         run.prior = prior;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
-        auto result = runSearch(problem, code, bigBudget(), run);
+        CacheCapture capture(code);
+        auto result = runSearch(problem, capture, bigBudget(), run);
+        const Value& cache = capture.cache();
         for (std::size_t i = 0; i < sites; ++i)
             EXPECT_LE(result.best.level(i), caps[i])
                 << code << " site " << i;

@@ -1,14 +1,14 @@
 /**
  * @file
  * Tests for iterative-refinement recovery (--refine) and the ladder
- * compatibility of checkpoints: a half-precision configuration that
+ * separation of memo tables: a half-precision configuration that
  * fails the quality gate unrefined must pass with refinement on, a
  * diverging refinement must surface as RuntimeFail (never a hang),
- * and a two-tier checkpoint must be recoverably rejected by a
- * three-rung campaign.
+ * and a two-tier campaign's memo must never serve a three-rung one.
  */
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "benchmarks/registry.h"
 #include "core/tuner.h"
 #include "runtime/ladder.h"
-#include "search/context.h"
+#include "search/memo_store.h"
 #include "support/logging.h"
 
 namespace {
@@ -201,45 +201,35 @@ TEST(Refine, FingerprintCarriesLadderAndRefinementMarker)
 }
 
 /**
- * A checkpoint written by a two-tier campaign presented to a
- * three-rung campaign of the same benchmark must be rejected with
- * the *recoverable* CheckpointMismatch (the driver then restarts the
- * search from scratch), never imported and never a crash.
+ * A two-tier campaign's memo directory gives a three-rung campaign of
+ * the same benchmark no memo hits: the ladder is part of the
+ * fingerprint, so two-tier evaluations are never misread under
+ * another ladder. A two-tier re-run is served entirely from it.
  */
 TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
 {
-    auto sourceBench = make("tridiag");
-    BenchmarkTuner source(*sourceBench,
-                          ladderOptions("double,float", false));
-    search::SearchContext sourceCtx(source.searchClusterProblem(),
-                                    {100, 0.0});
-    sourceCtx.setFingerprint(
-        source.fingerprint(search::Granularity::Cluster));
-    sourceCtx.evaluate(
-        Config::withLowered(source.clusterCount(), {0}));
-    auto checkpoint = sourceCtx.exportCache();
-    ASSERT_TRUE(checkpoint.has("fingerprint"));
+    std::string dir = ::testing::TempDir() + "refine_two_tier_memo";
+    std::filesystem::remove_all(dir);
+    auto campaign = [&](const std::string& ladder) {
+        TunerOptions opt = ladderOptions(ladder, false);
+        opt.memoStore = std::make_shared<search::MemoStore>(dir);
+        auto bench = make("tridiag");
+        BenchmarkTuner tuner(*bench, opt);
+        return tuner.tune("DD").search;
+    };
 
-    auto targetBench = make("tridiag");
-    BenchmarkTuner target(*targetBench,
-                          ladderOptions("double,float,half", false));
-    search::SearchContext targetCtx(target.searchClusterProblem(),
-                                    {100, 0.0});
-    targetCtx.setFingerprint(
-        target.fingerprint(search::Granularity::Cluster));
-    EXPECT_THROW(targetCtx.importCache(checkpoint),
-                 search::CheckpointMismatch);
-    EXPECT_FALSE(targetCtx.isCached(
-        Config::withLowered(target.clusterCount(), {0})));
+    auto twoTier = campaign("double,float");
+    ASSERT_GT(twoTier.evaluated, 0u);
+    EXPECT_EQ(twoTier.memoHits, 0u);
 
-    // The same checkpoint is still welcome in a two-tier context.
-    search::SearchContext backCtx(source.searchClusterProblem(),
-                                  {100, 0.0});
-    backCtx.setFingerprint(
-        source.fingerprint(search::Granularity::Cluster));
-    backCtx.importCache(checkpoint);
-    EXPECT_TRUE(backCtx.isCached(
-        Config::withLowered(source.clusterCount(), {0})));
+    auto threeRung = campaign("double,float,half");
+    EXPECT_GT(threeRung.evaluated, 0u);
+    EXPECT_EQ(threeRung.memoHits, 0u);
+
+    auto rerun = campaign("double,float");
+    EXPECT_EQ(rerun.evaluated, 0u);
+    EXPECT_EQ(rerun.memoHits, twoTier.evaluated);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

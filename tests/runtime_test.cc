@@ -78,7 +78,7 @@ TEST(Ladder, DefaultIsTwoTierAndDescribesCompatibly)
     EXPECT_EQ(ladder.at(0), Precision::Float64);
     EXPECT_EQ(ladder.at(1), Precision::Float32);
     // Must match the historical MemoFingerprint default so two-tier
-    // memo segments and checkpoints stay loadable.
+    // memo segments stay loadable.
     EXPECT_EQ(ladder.describe(), "f64:f32");
     EXPECT_EQ(PrecisionLadder::parse("double,float"), ladder);
 }

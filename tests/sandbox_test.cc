@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -32,7 +33,10 @@
 
 #include <gtest/gtest.h>
 
+#include "benchmarks/registry.h"
+#include "cache_capture.h"
 #include "core/tuner.h"
+#include "harness/harness.h"
 #include "search/driver.h"
 #include "search/fault.h"
 #include "search/memo_store.h"
@@ -41,6 +45,7 @@
 #include "support/string_util.h"
 #include "support/timer.h"
 #include "support/worker_pool.h"
+#include "support/yaml.h"
 
 namespace {
 
@@ -503,12 +508,11 @@ TEST(SandboxTuner, ForkAndInProcessAreTrajectoryIdentical)
         RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
         core::TunerOptions opt = sandboxOptions();
         opt.isolation = isolation;
-        opt.checkpointEvery = 1;
-        opt.checkpointSink = [&cache](const support::json::Value& v) {
-            cache = v;
-        };
         core::BenchmarkTuner tuner(bench, opt);
-        return tuner.tune("DD");
+        test::CacheCapture capture("DD");
+        auto outcome = tuner.tune(capture);
+        cache = capture.cache();
+        return outcome;
     };
 
     support::json::Value forkCache, inprocCache;
@@ -851,12 +855,11 @@ TEST(PoolTuner, PoolAndForkAreTrajectoryIdentical)
         RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
         core::TunerOptions opt = sandboxOptions();
         opt.isolation = isolation;
-        opt.checkpointEvery = 1;
-        opt.checkpointSink = [&cache](const support::json::Value& v) {
-            cache = v;
-        };
         core::BenchmarkTuner tuner(bench, opt);
-        return tuner.tune("DD");
+        test::CacheCapture capture("DD");
+        auto outcome = tuner.tune(capture);
+        cache = capture.cache();
+        return outcome;
     };
 
     support::json::Value poolCache, forkCache;
@@ -1068,6 +1071,130 @@ TEST(RawFaults, SimulatedAndForkedHangCountersMatch)
     Counters forked = campaign(true);
     EXPECT_GT(simulated.deadlineMisses, 0u);
     EXPECT_EQ(forked, simulated);
+}
+
+// --- kill -9 mid-campaign, then --resume ----------------------------
+
+/** Complete records across the memo segments in @p dir so far. */
+std::size_t
+memoRecordsLanded(const std::string& dir)
+{
+    std::size_t records = 0;
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        if (entry.path().filename().string().rfind("memo-", 0) != 0)
+            continue;
+        std::ifstream in(entry.path());
+        std::string line;
+        std::getline(in, line); // header
+        while (std::getline(in, line) && !in.eof())
+            ++records;
+    }
+    return records;
+}
+
+/**
+ * The genuine crash: a campaign process SIGKILLed mid-search, then
+ * resumed from its memo directory. The resumed campaign ends with the
+ * same (config, verdict) pairs as an uninterrupted one, and no
+ * evaluation is paid for twice: a job's resumed EV plus the entries
+ * the killed run left in its fingerprint's memo table is the
+ * uninterrupted EV.
+ */
+TEST(SandboxResume, SigkilledCampaignResumesWithoutRepeatingWork)
+{
+    auto jobs = harness::parseConfig(support::yaml::parse(
+        "hotspot:\n  analysis:\n    fs:\n      name: 'floatsmith'\n"
+        "      extra_args:\n        algorithm: 'combinational'\n"
+        "hpccg:\n  analysis:\n    fs:\n      name: 'floatsmith'\n"
+        "      extra_args:\n        algorithm: 'compositional'\n"
+        "lavamd:\n  analysis:\n    fs:\n      name: 'floatsmith'\n"
+        "      extra_args:\n        algorithm: 'ddebug'\n"));
+    auto optionsFor = [](const std::string& dir) {
+        harness::HarnessOptions options;
+        options.tuner.searchReps = 1;
+        options.tuner.finalReps = 3;
+        options.memoCacheDir = dir;
+        return options;
+    };
+    std::string killedDir = ::testing::TempDir() + "resume_killed";
+    std::string cleanDir = ::testing::TempDir() + "resume_clean";
+    std::filesystem::remove_all(killedDir);
+    std::filesystem::remove_all(cleanDir);
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        try {
+            harness::runJobs(jobs, optionsFor(killedDir));
+        } catch (...) {
+            ::_exit(1);
+        }
+        ::_exit(0);
+    }
+    support::WallTimer waited;
+    // Kill well into the first search, not at its very first record.
+    while (memoRecordsLanded(killedDir) < 50 && waited.seconds() < 60.0)
+        support::sleepForSeconds(0.001);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+        << "the campaign finished before the kill";
+
+    // Each job's (config, verdict) pairs in directory @p dir: the
+    // entries of its fingerprint's memo table, recovered the way a
+    // resuming run recovers them (each job tunes its own benchmark).
+    auto verdicts = [&](const std::string& dir) {
+        std::vector<std::set<std::string>> perJob;
+        for (const auto& job : jobs) {
+            auto bench = benchmarks::BenchmarkRegistry::instance().create(
+                job.benchmark);
+            core::TunerOptions opt = optionsFor(dir).tuner;
+            opt.memoStore = std::make_shared<search::MemoStore>(dir);
+            core::BenchmarkTuner tuner(*bench, opt);
+            // CB, CM and DD all search the cluster space.
+            auto memo =
+                tuner.runOptionsFor(search::Granularity::Cluster).memo;
+            perJob.emplace_back();
+            for (const auto& [key, eval] : memo->entries())
+                perJob.back().insert(key + "=" +
+                                     search::evalStatusName(eval.status));
+        }
+        return perJob;
+    };
+    auto killed = verdicts(killedDir);
+
+    harness::HarnessOptions resumeOptions = optionsFor(killedDir);
+    resumeOptions.resume = true;
+    auto resumed = harness::runJobs(jobs, resumeOptions);
+    auto clean = harness::runJobs(jobs, optionsFor(cleanDir));
+
+    auto cleanVerdicts = verdicts(cleanDir);
+    EXPECT_EQ(verdicts(killedDir), cleanVerdicts);
+    std::size_t rerun = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_TRUE(resumed[i].error.empty()) << resumed[i].error;
+        ASSERT_TRUE(clean[i].error.empty()) << clean[i].error;
+        // Winners rank by measured speedup, so they are timing noise;
+        // the verdicts and the work are not.
+        EXPECT_FALSE(clean[i].result.timedOut) << jobs[i].benchmark;
+        EXPECT_EQ(cleanVerdicts[i].size(), clean[i].result.evaluated)
+            << jobs[i].benchmark;
+        if (resumed[i].restored) {
+            EXPECT_EQ(resumed[i].result.evaluated,
+                      clean[i].result.evaluated);
+            continue;
+        }
+        ++rerun;
+        EXPECT_EQ(resumed[i].result.evaluated + killed[i].size(),
+                  clean[i].result.evaluated)
+            << jobs[i].benchmark;
+    }
+    EXPECT_GT(rerun, 0u);
+    std::filesystem::remove_all(killedDir);
+    std::filesystem::remove_all(cleanDir);
 }
 
 } // namespace
