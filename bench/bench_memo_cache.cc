@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -101,7 +102,13 @@ main(int argc, char** argv)
     for (const std::string& name : names) {
         auto benchmark =
             benchmarks::BenchmarkRegistry::instance().create(name);
-        core::BenchmarkTuner tuner(*benchmark, options.tuner);
+        // A tuner times each executable once, so every cold campaign
+        // gets a fresh one: a tuner that already ran another strategy
+        // would answer its configurations without executing them.
+        auto freshTuner = [&] {
+            return std::make_unique<core::BenchmarkTuner>(*benchmark,
+                                                          options.tuner);
+        };
 
         // Solo cold/warm pairs, one private store per strategy so no
         // strategy inherits another's published evaluations.
@@ -114,18 +121,19 @@ main(int argc, char** argv)
             run.benchmark = name;
             run.strategy = code;
 
-            tuner.setMemoStore(
+            auto tuner = freshTuner();
+            tuner->setMemoStore(
                 std::make_shared<search::MemoStore>(dir.string()));
-            core::TuneOutcome cold = tuner.tune(code);
+            core::TuneOutcome cold = tuner->tune(code);
             run.evCold = cold.search.evaluated;
             run.coldSeconds = cold.search.searchSeconds;
             run.coldEvalsPerSec = rate(run.evCold, run.coldSeconds);
             run.speedup = cold.finalSpeedup;
 
             // Reopen the store from disk, as a later process would.
-            tuner.setMemoStore(
+            tuner->setMemoStore(
                 std::make_shared<search::MemoStore>(dir.string()));
-            core::TuneOutcome warm = tuner.tune(code);
+            core::TuneOutcome warm = tuner->tune(code);
             run.evWarm = warm.search.evaluated;
             run.warmMemoHits = warm.search.memoHits;
             run.warmSeconds = warm.search.searchSeconds;
@@ -158,17 +166,19 @@ main(int argc, char** argv)
         // contention-inflated and only rank configs against each
         // other.
         fs::path bestDir = storeRoot / name / "portfolio-best";
-        tuner.setMemoStore(
+        auto tuner = freshTuner();
+        tuner->setMemoStore(
             std::make_shared<search::MemoStore>(bestDir.string()));
-        core::PortfolioOutcome best = tuner.tunePortfolio(
+        core::PortfolioOutcome best = tuner->tunePortfolio(
             strategies, search::PortfolioMode::Best);
 
         // First-to-finish portfolio on another cold store: the
         // latency claim.
         fs::path raceDir = storeRoot / name / "portfolio-race";
-        tuner.setMemoStore(
+        auto raceTuner = freshTuner();
+        raceTuner->setMemoStore(
             std::make_shared<search::MemoStore>(raceDir.string()));
-        core::PortfolioOutcome race = tuner.tunePortfolio(
+        core::PortfolioOutcome race = raceTuner->tunePortfolio(
             strategies, search::PortfolioMode::Race);
 
         PortfolioRun pf;
@@ -190,9 +200,9 @@ main(int argc, char** argv)
             best.clusterConfig == bestSingleConfig;
         if (!pf.configNoWorse) {
             search::Evaluation winnerEval =
-                tuner.finalMeasure(best.clusterConfig);
+                tuner->finalMeasure(best.clusterConfig);
             search::Evaluation soloEval =
-                tuner.finalMeasure(bestSingleConfig);
+                tuner->finalMeasure(bestSingleConfig);
             pf.winnerSpeedup = winnerEval.speedup;
             pf.bestSingleSpeedup = soloEval.speedup;
             pf.configNoWorse =

@@ -3,21 +3,29 @@
  * Measurement: the cost of process isolation, and work stealing
  * (DESIGN.md §13, §15).
  *
- * Part 1 — isolation cost. For each benchmark, runs the same
- * combinational (CB) campaign three times from identical options:
- * in-process (--isolation=none), on a fresh one-job worker per
- * evaluation (--isolation=fork: fork + prepare + reap per attempt)
- * and on persistent pre-forked workers fed over shared-memory rings
- * (--isolation=pool). All three are fault-free, so they execute the
- * same configuration set (CB's exploration order is fixed; the
- * reported winner may differ by timing noise, exactly as between two
- * in-process runs). Two headline checks:
- *  - fork overhead: at reps >= 3 on application benchmarks, fork's
- *    search wall time stays under 10% above in-process — the fork
- *    tax is paid once per evaluation while the program runs reps
+ * Part 1 — isolation cost. For each benchmark, builds one tuner per
+ * isolation mode from identical options — in-process
+ * (--isolation=none), a fresh one-job worker per evaluation
+ * (--isolation=fork: fork + prepare + reap per attempt) and
+ * persistent pre-forked workers fed over shared-memory rings
+ * (--isolation=pool) — and times direct evaluateClusterConfig calls
+ * over the benchmark's distinct executables: every level combination
+ * of the clusters that bind a runtime knob, the others at double. A
+ * search measures each executable once (configurations that differ
+ * only in cold clusters share the measurement), so a campaign forks
+ * only a handful of times and its wall time no longer shows the fork
+ * tax; direct calls do. The none and fork calls run in alternating
+ * pairs (none then fork, then fork then none) so machine drift lands
+ * on both sides. All three modes are fault-free and must agree on
+ * every executable's verdict. Two headline checks:
+ *  - fork overhead: at reps >= 3 on application benchmarks, the
+ *    summed fork wall time stays under 10% above in-process — the
+ *    fork tax is paid once per evaluation while the program runs reps
  *    times;
  *  - spawn amortization: pool dispatch stays at or under half the
  *    fork spawn cost per evaluation.
+ * --budget N sets the none/fork pairs per benchmark (rounded up to
+ * whole rounds over the executables).
  *
  * Part 2 — work stealing. Pushes a deliberately uneven-latency
  * synthetic batch through SearchContext::evaluateBatch under the
@@ -36,10 +44,12 @@
  *              (default BENCH_worker_pool.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,16 +67,39 @@ using namespace hpcmixp;
 
 struct IsolationRun {
     std::string benchmark;
-    std::size_t evaluated = 0;
-    double noneSeconds = 0.0;  ///< in-process search wall time
-    double forkSeconds = 0.0;  ///< fork-isolated search wall time
+    std::size_t executables = 0; ///< distinct executables timed
+    std::size_t pairs = 0;     ///< none/fork pairs (= pool calls)
+    double noneSeconds = 0.0;  ///< summed in-process evaluation time
+    double forkSeconds = 0.0;  ///< summed fork-isolated evaluation time
     double overheadPct = 0.0;  ///< fork over none, percent
     double forkSpawnMs = 0.0;  ///< mean fork+reap overhead per eval
     double poolSpawnMs = 0.0;  ///< mean ring-dispatch overhead per eval
     double ratio = 0.0;        ///< pool / fork (lower is better)
     std::size_t poolForks = 0; ///< actual fork() calls under the pool
-    bool evMatch = false;      ///< all three modes executed the same EV
+    bool verdictsMatch = true; ///< all three modes agree per executable
 };
+
+/** One configuration per distinct executable of @p tuner: every level
+ *  up to @p maxLevel over its hot clusters, cold clusters at double. */
+std::vector<search::Config>
+distinctExecutables(const core::BenchmarkTuner& tuner,
+                    std::uint8_t maxLevel)
+{
+    std::vector<search::Config> out{search::Config(tuner.clusterCount())};
+    for (std::size_t c = 0; c < tuner.clusterCount(); ++c) {
+        if (!tuner.hotClusters()[c])
+            continue;
+        const std::size_t base = out.size();
+        for (std::uint8_t level = 1; level <= maxLevel; ++level) {
+            for (std::size_t i = 0; i < base; ++i) {
+                search::Config cfg = out[i];
+                cfg.setLevel(c, level);
+                out.push_back(std::move(cfg));
+            }
+        }
+    }
+    return out;
+}
 
 double
 rate(std::size_t count, double seconds)
@@ -166,10 +199,10 @@ main(int argc, char** argv)
     if (support::quickMode())
         names = {"kmeans"};
 
-    support::Table table({"benchmark", "EV", "ev/s none", "ev/s fork",
-                          "fork overhead %", "fork spawn ms",
-                          "pool dispatch ms", "pool/fork", "pool forks",
-                          "EV match"});
+    support::Table table({"benchmark", "executables", "pairs",
+                          "ev/s none", "ev/s fork", "fork overhead %",
+                          "fork spawn ms", "pool dispatch ms",
+                          "pool/fork", "pool forks", "verdicts match"});
     std::vector<IsolationRun> runs;
 
     for (const std::string& name : names) {
@@ -177,28 +210,55 @@ main(int argc, char** argv)
             benchmarks::BenchmarkRegistry::instance().create(name);
 
         // One tuner per mode: isolation is fixed at construction.
-        auto campaign = [&](support::IsolationMode isolation,
-                            core::SandboxStats& stats) {
+        auto tunerFor = [&](support::IsolationMode isolation) {
             core::TunerOptions modeOptions = options.tuner;
             modeOptions.isolation = isolation;
-            core::BenchmarkTuner tuner(*benchmark, modeOptions);
-            core::TuneOutcome outcome = tuner.tune("CB");
-            stats = tuner.sandboxStats();
-            return outcome;
+            return std::make_unique<core::BenchmarkTuner>(*benchmark,
+                                                          modeOptions);
         };
-        core::SandboxStats noneStats, forkStats, poolStats;
-        core::TuneOutcome none =
-            campaign(support::IsolationMode::None, noneStats);
-        core::TuneOutcome forked =
-            campaign(support::IsolationMode::Fork, forkStats);
-        core::TuneOutcome pooled =
-            campaign(support::IsolationMode::Pool, poolStats);
+        auto none = tunerFor(support::IsolationMode::None);
+        auto forked = tunerFor(support::IsolationMode::Fork);
+        auto pooled = tunerFor(support::IsolationMode::Pool);
+        const std::vector<search::Config> executables =
+            distinctExecutables(*none, static_cast<std::uint8_t>(
+                                           options.tuner.ladder.maxLevel()));
+        const std::size_t reps = options.tuner.searchReps;
+        const std::size_t budget = std::max<std::size_t>(
+            options.tuner.budget.maxEvaluations, 1);
+        const std::size_t rounds =
+            (budget + executables.size() - 1) / executables.size();
 
         IsolationRun run;
         run.benchmark = name;
-        run.evaluated = none.search.evaluated;
-        run.noneSeconds = none.search.searchSeconds;
-        run.forkSeconds = forked.search.searchSeconds;
+        run.executables = executables.size();
+        auto timed = [&](core::BenchmarkTuner& tuner,
+                         const search::Config& cfg, double& seconds) {
+            support::WallTimer timer;
+            search::Evaluation eval = tuner.evaluateClusterConfig(cfg, reps);
+            seconds += timer.seconds();
+            return eval.status;
+        };
+        // Pool calls only feed the dispatch-overhead statistics.
+        double poolSeconds = 0.0;
+        for (std::size_t round = 0; round < rounds; ++round) {
+            for (const search::Config& cfg : executables) {
+                search::EvalStatus inProcess, inFork;
+                if (run.pairs % 2 == 0) {
+                    inProcess = timed(*none, cfg, run.noneSeconds);
+                    inFork = timed(*forked, cfg, run.forkSeconds);
+                } else {
+                    inFork = timed(*forked, cfg, run.forkSeconds);
+                    inProcess = timed(*none, cfg, run.noneSeconds);
+                }
+                search::EvalStatus inPool = timed(*pooled, cfg, poolSeconds);
+                run.verdictsMatch = run.verdictsMatch &&
+                                    inProcess == inFork && inFork == inPool;
+                ++run.pairs;
+            }
+        }
+
+        const core::SandboxStats forkStats = forked->sandboxStats();
+        const core::SandboxStats poolStats = pooled->sandboxStats();
         run.overheadPct =
             run.noneSeconds > 0.0
                 ? (run.forkSeconds / run.noneSeconds - 1.0) * 100.0
@@ -209,27 +269,24 @@ main(int argc, char** argv)
                         ? run.poolSpawnMs / run.forkSpawnMs
                         : 0.0;
         run.poolForks = poolStats.forks;
-        run.evMatch = forked.search.evaluated == run.evaluated &&
-                      pooled.search.evaluated == run.evaluated;
         runs.push_back(run);
 
         table.addRow(
             {name,
-             support::Table::cell(static_cast<long>(run.evaluated)),
-             support::Table::cell(rate(run.evaluated, run.noneSeconds),
-                                  1),
-             support::Table::cell(rate(run.evaluated, run.forkSeconds),
-                                  1),
+             support::Table::cell(static_cast<long>(run.executables)),
+             support::Table::cell(static_cast<long>(run.pairs)),
+             support::Table::cell(rate(run.pairs, run.noneSeconds), 1),
+             support::Table::cell(rate(run.pairs, run.forkSeconds), 1),
              support::Table::cell(run.overheadPct, 1),
              support::Table::cell(run.forkSpawnMs, 3),
              support::Table::cell(run.poolSpawnMs, 3),
              support::Table::cell(run.ratio, 3),
              support::Table::cell(static_cast<long>(run.poolForks)),
-             run.evMatch ? "yes" : "NO"});
+             run.verdictsMatch ? "yes" : "NO"});
     }
 
-    std::cout << "Isolation cost, CB campaigns (budget "
-              << options.tuner.budget.maxEvaluations << ", reps "
+    std::cout << "Isolation cost, alternating none/fork evaluations "
+                 "over each benchmark's distinct executables (reps "
               << options.tuner.searchReps << ")\n";
     benchutil::emit(table, options);
 
@@ -267,9 +324,6 @@ main(int argc, char** argv)
 
     using support::json::Value;
     Value doc = Value::object();
-    doc.set("budget",
-            Value::number(static_cast<double>(
-                options.tuner.budget.maxEvaluations)));
     doc.set("reps",
             Value::number(
                 static_cast<double>(options.tuner.searchReps)));
@@ -277,8 +331,9 @@ main(int argc, char** argv)
     for (const IsolationRun& run : runs) {
         Value row = Value::object();
         row.set("benchmark", Value::string(run.benchmark));
-        row.set("evaluated",
-                Value::number(static_cast<double>(run.evaluated)));
+        row.set("executables",
+                Value::number(static_cast<double>(run.executables)));
+        row.set("pairs", Value::number(static_cast<double>(run.pairs)));
         row.set("none_seconds", Value::number(run.noneSeconds));
         row.set("fork_seconds", Value::number(run.forkSeconds));
         row.set("fork_overhead_pct", Value::number(run.overheadPct));
@@ -287,7 +342,7 @@ main(int argc, char** argv)
         row.set("pool_over_fork", Value::number(run.ratio));
         row.set("pool_forks",
                 Value::number(static_cast<double>(run.poolForks)));
-        row.set("ev_match", Value::boolean(run.evMatch));
+        row.set("verdicts_match", Value::boolean(run.verdictsMatch));
         rows.push(std::move(row));
     }
     doc.set("kernels", std::move(rows));

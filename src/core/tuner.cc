@@ -42,8 +42,7 @@ class BenchmarkTuner::ClusterProblem final : public search::SearchProblem {
     Evaluation
     evaluate(const Config& config) override
     {
-        return tuner_.evaluateClusterConfig(config,
-                                            tuner_.options_.searchReps);
+        return tuner_.evaluateSearchConfig(config);
     }
 
   private:
@@ -88,8 +87,7 @@ class BenchmarkTuner::VariableProblem final
                 }
             }
         }
-        return tuner_.evaluateClusterConfig(
-            tuner_.toClusterConfig(config), tuner_.options_.searchReps);
+        return tuner_.evaluateSearchConfig(tuner_.toClusterConfig(config));
     }
 
     const StructureNode* structure() const override
@@ -211,14 +209,18 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
             "the parent kills it; it requires a positive --deadline");
 
     // Each bind key must live in exactly one cluster, otherwise the
-    // cluster -> knob mapping would be ambiguous.
+    // cluster -> knob mapping would be ambiguous. That also makes the
+    // hot-cluster projection exact: two configurations that agree on
+    // every hot cluster bind every knob to the same precision.
     std::map<std::string, std::size_t> keyCluster;
+    hotClusters_.assign(clusterCount(), false);
     const auto& program = benchmark_.programModel();
     for (model::VarId v : variables_) {
         const auto& var = program.variable(v);
         if (var.bindKey.empty())
             continue;
         std::size_t c = clusters_.clusterOf(v);
+        hotClusters_[c] = true;
         auto [it, inserted] = keyCluster.emplace(var.bindKey, c);
         HPCMIXP_ASSERT(inserted || it->second == c,
                        support::strCat("bind key '", var.bindKey,
@@ -474,6 +476,65 @@ BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
                                sizeof payload,
                                options_.resilience.deadlineSeconds);
     return classify(outcome, payload);
+}
+
+/**
+ * The executable @p cfg runs: its precision map, which only hot
+ * clusters reach, plus whether it executes refined. The refinement
+ * flag is needed because useRefinement() asks the *unprojected*
+ * configuration: one that lowers only cold clusters runs refined on
+ * the all-double map, unlike the baseline itself.
+ */
+std::string
+BenchmarkTuner::executableKey(const Config& cfg) const
+{
+    Config hot(cfg.size());
+    for (std::size_t c = 0; c < cfg.size(); ++c)
+        if (hotClusters_[c])
+            hot.setLevel(c, cfg.level(c));
+    std::string key = hot.toString();
+    if (useRefinement(cfg))
+        key += "+ir";
+    return key;
+}
+
+/**
+ * A search evaluation: served from the executable table when another
+ * configuration already timed and verified the same executable,
+ * measured by evaluateClusterConfig() otherwise. Only clean Pass and
+ * QualityFail measurements are stored; runtime failures, deadline
+ * kills and crash-loop cutoffs stay per-attempt. An attempt carrying a
+ * pending raw fault always reaches a worker and is never stored, so
+ * the fault detonates in exactly the attempt that drew it. Concurrent
+ * misses on one key may both measure; the first store wins, and the
+ * execute determinism contract makes their verdicts identical.
+ */
+Evaluation
+BenchmarkTuner::evaluateSearchConfig(const Config& cfg)
+{
+    if (search::pendingRawFault() != search::RawFault::None)
+        return evaluateClusterConfig(cfg, options_.searchReps);
+    const std::string key = executableKey(cfg);
+    {
+        std::lock_guard<std::mutex> lock(executablesMutex_);
+        auto it = executables_.find(key);
+        if (it != executables_.end())
+            return it->second;
+    }
+    Evaluation eval = evaluateClusterConfig(cfg, options_.searchReps);
+    if (eval.status == EvalStatus::Pass ||
+        eval.status == EvalStatus::QualityFail) {
+        std::lock_guard<std::mutex> lock(executablesMutex_);
+        executables_.emplace(key, eval);
+    }
+    return eval;
+}
+
+std::size_t
+BenchmarkTuner::executableCount() const
+{
+    std::lock_guard<std::mutex> lock(executablesMutex_);
+    return executables_.size();
 }
 
 /**

@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "benchmarks/benchmark.h"
@@ -221,6 +222,10 @@ class BenchmarkTuner {
     /** Sites of the cluster-level problem. */
     std::size_t clusterCount() const { return clusters_.clusterCount(); }
 
+    /** Per cluster: true when some member binds a runtime knob. The
+     *  other ("cold") clusters never change the executable. */
+    const std::vector<bool>& hotClusters() const { return hotClusters_; }
+
     /** Sites of the variable-level problem. */
     std::size_t variableCount() const { return variables_.size(); }
 
@@ -280,9 +285,20 @@ class BenchmarkTuner {
     runOptionsFor(search::Granularity granularity);
 
     /** Evaluate one cluster configuration with @p reps timing reps.
-     *  Runs on a sandbox worker under isolation = Fork or Pool. */
+     *  Runs on a sandbox worker under isolation = Fork or Pool, and
+     *  measures afresh on every call: only the search problems share
+     *  measurements through the executable table. */
     search::Evaluation evaluateClusterConfig(const search::Config& cfg,
                                              std::size_t reps);
+
+    /**
+     * Distinct executables this tuner's search problems have timed and
+     * verified (the size of the executable table). Configurations that
+     * differ only in clusters without a bind key run the same
+     * executable, so this is often far below the evaluated
+     * configurations (hotspot CB: 511 configurations, 4 executables).
+     */
+    std::size_t executableCount() const;
 
     /** Snapshot of the sandbox accounting (all zero when
      *  isolation = None). */
@@ -354,6 +370,8 @@ class BenchmarkTuner {
     std::uint8_t varLevel(const search::Config& varCfg,
                           model::VarId var) const;
     bool useRefinement(const search::Config& cfg) const;
+    std::string executableKey(const search::Config& cfg) const;
+    search::Evaluation evaluateSearchConfig(const search::Config& cfg);
     benchmarks::RunOutput executeForConfig(
         const benchmarks::RunPlan& plan, runtime::RunWorkspace& ws,
         bool refined) const;
@@ -381,6 +399,13 @@ class BenchmarkTuner {
     std::unique_ptr<VariableProblem> variableProblem_;
     std::unique_ptr<search::FaultyProblem> faultyCluster_;
     std::unique_ptr<search::FaultyProblem> faultyVariable_;
+
+    std::vector<bool> hotClusters_;
+
+    /// Executable table: clean search measurements by executableKey(),
+    /// shared by every search evaluation of this tuner.
+    mutable std::mutex executablesMutex_;
+    std::unordered_map<std::string, search::Evaluation> executables_;
 
     /// Sandbox accounting; the mutex also serializes the crash-loop
     /// cutoff decision across evaluateBatch workers.

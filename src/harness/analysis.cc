@@ -63,10 +63,13 @@ fillSearchCounters(AnalysisResult& result,
     result.timedOut = searchResult.timedOut;
 }
 
-/** Copy the sandbox accounting into an analysis result. */
+/** Copy the tuner's executable count and sandbox accounting into an
+ *  analysis result. */
 void
-fillSandboxStats(AnalysisResult& result, const core::SandboxStats& stats)
+fillTunerStats(AnalysisResult& result, const core::BenchmarkTuner& tuner)
 {
+    result.executables = tuner.executableCount();
+    const core::SandboxStats stats = tuner.sandboxStats();
     result.childForks = stats.forks;
     result.childKills = stats.killedOnDeadline;
     result.childNonZeroExits = stats.nonZeroExits;
@@ -114,7 +117,7 @@ FloatsmithAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     result.speedup = outcome.finalSpeedup;
     result.qualityLoss = outcome.finalQualityLoss;
     fillSearchCounters(result, outcome.search);
-    fillSandboxStats(result, tuner.sandboxStats());
+    fillTunerStats(result, tuner);
     result.configuration = outcome.clusterConfig.toString();
     return result;
 }
@@ -155,7 +158,7 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     result.analysis = name();
     result.detail = "DD/variables";
     fillSearchCounters(result, searchResult);
-    fillSandboxStats(result, tuner.sandboxStats());
+    fillTunerStats(result, tuner);
     if (searchResult.foundImprovement) {
         search::Config clusterCfg =
             tuner.toClusterConfig(searchResult.best);
@@ -223,7 +226,7 @@ PortfolioAnalysis::analyze(const benchmarks::Benchmark& benchmark,
         result.quarantined += entrant.quarantined;
     }
     result.timedOut = winner.timedOut;
-    fillSandboxStats(result, tuner.sandboxStats());
+    fillTunerStats(result, tuner);
     result.configuration = outcome.clusterConfig.toString();
     return result;
 }

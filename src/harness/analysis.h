@@ -36,7 +36,8 @@ struct AnalysisResult {
     std::string detail;          ///< e.g. the algorithm used
     double speedup = 1.0;        ///< final measured speedup
     double qualityLoss = 0.0;    ///< final quality loss
-    std::size_t evaluated = 0;   ///< configurations executed
+    std::size_t evaluated = 0;   ///< configurations evaluated (EV)
+    std::size_t executables = 0; ///< distinct executables timed
     std::size_t compileFailures = 0;
     std::size_t cacheHits = 0;   ///< in-run repeat queries
     std::size_t memoHits = 0;    ///< cross-run memo-cache hits

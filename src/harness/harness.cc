@@ -109,6 +109,8 @@ analysisResultToJson(const AnalysisResult& r)
     v.set("speedup", Value::number(r.speedup));
     v.set("quality_loss", Value::number(r.qualityLoss));
     v.set("evaluated", Value::number(static_cast<double>(r.evaluated)));
+    v.set("executables",
+          Value::number(static_cast<double>(r.executables)));
     v.set("compile_failures",
           Value::number(static_cast<double>(r.compileFailures)));
     v.set("cache_hits",
@@ -155,6 +157,7 @@ analysisResultFromJson(const Value& v)
                         ? std::numeric_limits<double>::quiet_NaN()
                         : v.at("quality_loss").asNumber();
     r.evaluated = count("evaluated");
+    r.executables = count("executables");
     r.compileFailures = count("compile_failures");
     r.cacheHits = count("cache_hits");
     r.memoHits = count("memo_hits");
@@ -407,6 +410,9 @@ resultsToJson(const std::vector<JobResult>& results)
         entry.set("evaluated_configurations",
                   Value::number(
                       static_cast<double>(r.result.evaluated)));
+        entry.set("executables",
+                  Value::number(
+                      static_cast<double>(r.result.executables)));
         entry.set("compile_failures",
                   Value::number(static_cast<double>(
                       r.result.compileFailures)));

@@ -88,6 +88,12 @@ takePendingRawFault()
     return fault;
 }
 
+RawFault
+pendingRawFault()
+{
+    return tlsPendingRawFault;
+}
+
 void
 executeRawFault(RawFault fault)
 {

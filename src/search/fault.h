@@ -85,6 +85,9 @@ void setPendingRawFault(RawFault fault);
 /** Consume (and clear) the pending raw fault of this thread. */
 RawFault takePendingRawFault();
 
+/** The pending raw fault of this thread, left in place. */
+RawFault pendingRawFault();
+
 /**
  * Execute @p fault: Crash abort()s, Hang spins forever (until the
  * parent's deadline SIGKILL), Segv stores through a wild pointer.

@@ -1,0 +1,410 @@
+/**
+ * @file
+ * Tests for the tuner's executable table: search evaluations of
+ * configurations that differ only in cold clusters (clusters without a
+ * bind key) share one timed, verified measurement, while EV, verdicts
+ * and the harness report stay those of the configuration-level search.
+ * Sharing relies on the execute determinism contract, which is checked
+ * here over every benchmark of the suite.
+ */
+
+#include <cstring>
+#include <filesystem>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "benchmarks/registry.h"
+#include "cache_capture.h"
+#include "core/tuner.h"
+#include "harness/harness.h"
+#include "runtime/workspace.h"
+#include "support/logging.h"
+#include "support/rng.h"
+#include "support/yaml.h"
+
+namespace {
+
+using namespace hpcmixp;
+using core::BenchmarkTuner;
+using core::TunerOptions;
+using search::Config;
+using search::EvalStatus;
+using search::Evaluation;
+
+TunerOptions
+fastOptions()
+{
+    TunerOptions opt;
+    opt.searchReps = 1;
+    opt.finalReps = 3;
+    opt.budget = {2000, 0.0};
+    return opt;
+}
+
+std::unique_ptr<benchmarks::Benchmark>
+make(const std::string& name)
+{
+    return benchmarks::BenchmarkRegistry::instance().create(name);
+}
+
+/** Indices of the hot (or cold) clusters of @p tuner. */
+std::vector<std::size_t>
+clustersWhere(const BenchmarkTuner& tuner, bool hot)
+{
+    std::vector<std::size_t> out;
+    for (std::size_t c = 0; c < tuner.clusterCount(); ++c)
+        if (tuner.hotClusters()[c] == hot)
+            out.push_back(c);
+    return out;
+}
+
+void
+expectSameEvaluation(const Evaluation& a, const Evaluation& b)
+{
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.runtimeSeconds, b.runtimeSeconds);
+    EXPECT_EQ(a.speedup, b.speedup);
+    EXPECT_EQ(a.qualityLoss, b.qualityLoss);
+}
+
+TEST(ExecutableTable, HotspotHasTwoHotClusters)
+{
+    auto bench = make("hotspot");
+    BenchmarkTuner tuner(*bench, fastOptions());
+    ASSERT_EQ(tuner.clusterCount(), 9u);
+    EXPECT_EQ(clustersWhere(tuner, true).size(), 2u);
+    EXPECT_EQ(tuner.executableCount(), 0u);
+}
+
+TEST(ExecutableTable, HotspotCbTimesFourExecutablesFor511Configurations)
+{
+    auto bench = make("hotspot");
+    BenchmarkTuner tuner(*bench, fastOptions());
+    core::TuneOutcome outcome = tuner.tune("CB");
+    EXPECT_EQ(outcome.search.evaluated, 511u);
+    EXPECT_EQ(tuner.executableCount(), 4u);
+}
+
+TEST(ExecutableTable, ConfigurationsDifferingInColdBitsShareOneEvaluation)
+{
+    auto bench = make("hotspot");
+    BenchmarkTuner tuner(*bench, fastOptions());
+    auto hot = clustersWhere(tuner, true);
+    auto cold = clustersWhere(tuner, false);
+    ASSERT_FALSE(hot.empty());
+    ASSERT_GE(cold.size(), 2u);
+
+    Config a(tuner.clusterCount());
+    a.set(hot[0]);
+    a.set(cold[0]);
+    Config b(tuner.clusterCount());
+    b.set(hot[0]);
+    b.set(cold[1]);
+    for (std::size_t c : cold)
+        b.set(c);
+
+    Evaluation first = tuner.clusterProblem().evaluate(a);
+    Evaluation second = tuner.clusterProblem().evaluate(b);
+    ASSERT_TRUE(first.ran());
+    expectSameEvaluation(first, second);
+    EXPECT_EQ(second.speedup,
+              tuner.baselineSeconds() / second.runtimeSeconds);
+    EXPECT_EQ(tuner.executableCount(), 1u);
+
+    // The variable-level problem reaches the same table through its
+    // cluster-uniform projection.
+    Config vars(tuner.variableCount());
+    const auto& variables = bench->programModel().realVariables();
+    for (std::size_t v = 0; v < variables.size(); ++v) {
+        std::size_t c = tuner.clusters().clusterOf(variables[v]);
+        if (c == hot[0] || c == cold.back())
+            vars.set(v);
+    }
+    expectSameEvaluation(tuner.variableProblem().evaluate(vars), first);
+    EXPECT_EQ(tuner.executableCount(), 1u);
+}
+
+TEST(ExecutableTable, DifferentHotProjectionIsMeasuredFresh)
+{
+    auto bench = make("hotspot");
+    BenchmarkTuner tuner(*bench, fastOptions());
+    auto hot = clustersWhere(tuner, true);
+    auto cold = clustersWhere(tuner, false);
+    ASSERT_GE(hot.size(), 2u);
+
+    Config a(tuner.clusterCount());
+    a.set(hot[0]);
+    a.set(cold[0]);
+    (void)tuner.clusterProblem().evaluate(a);
+    EXPECT_EQ(tuner.executableCount(), 1u);
+
+    Config b = a;
+    b.set(hot[1]);
+    EXPECT_TRUE(tuner.clusterProblem().evaluate(b).ran());
+    EXPECT_EQ(tuner.executableCount(), 2u);
+
+    // A cold-only configuration runs the all-double executable, which
+    // is a third one.
+    Config coldOnly(tuner.clusterCount());
+    coldOnly.set(cold[0]);
+    EXPECT_TRUE(tuner.clusterProblem().evaluate(coldOnly).passed());
+    EXPECT_EQ(tuner.executableCount(), 3u);
+
+    // The public entry point measures on every call and leaves the
+    // table alone.
+    EXPECT_TRUE(tuner.evaluateClusterConfig(a, 1).ran());
+    EXPECT_EQ(tuner.executableCount(), 3u);
+}
+
+/**
+ * Refinable two-knob benchmark with one cold cluster: `data` binds a
+ * knob, `ghost` binds none. A refined execute marks its output, so a
+ * refined evaluation of the all-double map fails verification while
+ * the (never refined) baseline passes.
+ */
+class RefinableGhostBenchmark final : public benchmarks::Benchmark {
+  public:
+    RefinableGhostBenchmark() : model_("refghost")
+    {
+        using namespace model;
+        ModuleId m = model_.addModule("refghost.c");
+        FunctionId f = model_.addFunction(m, "f");
+        model_.addVariable(f, "data", realPointer(), "data");
+        model_.addVariable(f, "ghost", realPointer());
+    }
+
+    std::string name() const override { return "refghost"; }
+    std::string description() const override
+    {
+        return "refinement with a cold cluster";
+    }
+    bool isKernel() const override { return true; }
+    const model::ProgramModel& programModel() const override
+    {
+        return model_;
+    }
+    bool supportsRefinement() const override { return true; }
+
+    benchmarks::RunOutput
+    run(const benchmarks::PrecisionMap& pm) const override
+    {
+        benchmarks::RunOutput out;
+        out.values.assign(16, 1.0);
+        if (pm.get("data") == runtime::Precision::Float32)
+            out.values[0] += 1e-9;
+        return out;
+    }
+
+    benchmarks::RunOutput
+    executeRefined(const benchmarks::RunPlan& plan,
+                   runtime::RunWorkspace& ws,
+                   const benchmarks::RefineControl&) const override
+    {
+        benchmarks::RunOutput out = execute(plan, ws);
+        out.values[1] += 1.0;
+        return out;
+    }
+
+  private:
+    model::ProgramModel model_;
+};
+
+TEST(ExecutableTable, RefinedColdOnlyConfigIsNotServedTheBaseline)
+{
+    RefinableGhostBenchmark bench;
+    TunerOptions opt = fastOptions();
+    opt.metric = "MAE";
+    opt.refine = true;
+    BenchmarkTuner tuner(bench, opt);
+    ASSERT_EQ(tuner.clusterCount(), 2u);
+    auto cold = clustersWhere(tuner, false);
+    ASSERT_EQ(cold.size(), 1u);
+
+    // The baseline itself runs unrefined and passes.
+    Evaluation baseline =
+        tuner.clusterProblem().evaluate(Config(tuner.clusterCount()));
+    EXPECT_EQ(baseline.status, EvalStatus::Pass);
+    EXPECT_EQ(tuner.executableCount(), 1u);
+
+    // Lowering only the cold cluster projects onto the same precision
+    // map, but the configuration is not the baseline, so it runs
+    // refined: a different executable, measured fresh.
+    Config coldOnly(tuner.clusterCount());
+    coldOnly.set(cold[0]);
+    Evaluation refined = tuner.clusterProblem().evaluate(coldOnly);
+    EXPECT_EQ(refined.status, EvalStatus::QualityFail);
+    EXPECT_EQ(tuner.executableCount(), 2u);
+}
+
+/** A capture's cache reduced to its timing-independent fields. */
+std::set<std::string>
+verdicts(const support::json::Value& cache)
+{
+    std::set<std::string> entries;
+    for (const auto& e : cache.at("evaluations").items()) {
+        double loss = e.at("quality_loss").isNull()
+                          ? -1.0
+                          : e.at("quality_loss").asNumber();
+        entries.insert(support::strCat(e.at("config").asString(), "|",
+                                       e.at("status").asString(), "|",
+                                       loss));
+    }
+    return entries;
+}
+
+TEST(ExecutableTable, ParallelHotspotCbCommitsTheSerialVerdicts)
+{
+    auto campaign = [](std::size_t jobs, std::size_t& executables) {
+        auto bench = make("hotspot");
+        TunerOptions opt = fastOptions();
+        opt.searchJobs = jobs;
+        BenchmarkTuner tuner(*bench, opt);
+        test::CacheCapture capture("CB");
+        core::TuneOutcome outcome = tuner.tune(capture);
+        EXPECT_EQ(outcome.search.evaluated, 511u);
+        executables = tuner.executableCount();
+        return verdicts(capture.cache());
+    };
+    std::size_t serialExecutables = 0;
+    std::size_t parallelExecutables = 0;
+    auto serial = campaign(1, serialExecutables);
+    auto parallel = campaign(4, parallelExecutables);
+    EXPECT_EQ(serial.size(), 511u);
+    EXPECT_EQ(parallel, serial);
+    EXPECT_EQ(serialExecutables, 4u);
+    EXPECT_EQ(parallelExecutables, 4u);
+}
+
+TEST(ExecutableTable, HarnessReportsAndJournalsExecutables)
+{
+    auto jobs = harness::parseConfig(support::yaml::parse(
+        "hotspot:\n  analysis:\n    fs:\n      name: 'floatsmith'\n"
+        "      extra_args:\n        algorithm: 'combinational'\n"));
+    std::string dir = ::testing::TempDir() + "executables_journal";
+    std::filesystem::remove_all(dir);
+    harness::HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    options.memoCacheDir = dir;
+
+    auto first = harness::runJobs(jobs, options);
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+    EXPECT_EQ(first[0].result.evaluated, 511u);
+    EXPECT_EQ(first[0].result.executables, 4u);
+    auto json = harness::resultsToJson(first);
+    const auto& entry = json.items()[0];
+    EXPECT_EQ(entry.at("evaluated_configurations").asLong(), 511);
+    EXPECT_EQ(entry.at("executables").asLong(), 4);
+
+    options.resume = true;
+    auto resumed = harness::runJobs(jobs, options);
+    ASSERT_TRUE(resumed[0].restored);
+    EXPECT_EQ(resumed[0].result.evaluated, 511u);
+    EXPECT_EQ(resumed[0].result.executables, 4u);
+    std::filesystem::remove_all(dir);
+}
+
+/** Output of one execute, or nothing when prepare/execute threw. */
+std::optional<std::vector<double>>
+runOnce(const benchmarks::Benchmark& bench,
+        const benchmarks::PrecisionMap& pm, runtime::RunWorkspace& ws)
+{
+    try {
+        return bench.execute(bench.prepare(pm), ws).values;
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+}
+
+/** Bitwise equality, so NaN payloads count too. */
+bool
+sameBits(const std::optional<std::vector<double>>& a,
+         const std::optional<std::vector<double>>& b)
+{
+    if (a.has_value() != b.has_value())
+        return false;
+    if (!a)
+        return true;
+    return a->size() == b->size() &&
+           std::memcmp(a->data(), b->data(),
+                       a->size() * sizeof(double)) == 0;
+}
+
+TEST(ExecuteDeterminism, EqualHotProjectionsRunIdenticalExecutables)
+{
+    constexpr std::size_t kPairs = 4;
+    core::TunerOptions opt;
+    opt.searchReps = 1;
+    opt.finalReps = 1;
+    opt.ladder = runtime::PrecisionLadder::parse("double,float,half,bf16");
+    const std::uint32_t rungs =
+        static_cast<std::uint32_t>(opt.ladder.maxLevel() + 1);
+
+    support::Pcg32 rng(20201017);
+    runtime::RunWorkspace reused; // dirtied by every benchmark in turn
+    const auto names = benchmarks::BenchmarkRegistry::instance().names();
+    EXPECT_EQ(names.size(), 17u);
+    std::size_t coldPairs = 0;
+    for (const std::string& name : names) {
+        SCOPED_TRACE(name);
+        auto bench = benchmarks::BenchmarkRegistry::instance().create(name);
+        core::BenchmarkTuner tuner(*bench, opt);
+        const auto& program = bench->programModel();
+
+        // Hot clusters from the model itself, not from the tuner.
+        std::vector<bool> hot(tuner.clusterCount(), false);
+        std::vector<std::string> keys;
+        for (model::VarId v : program.realVariables()) {
+            const std::string& key = program.variable(v).bindKey;
+            if (key.empty())
+                continue;
+            hot[tuner.clusters().clusterOf(v)] = true;
+            keys.push_back(key);
+        }
+        EXPECT_EQ(tuner.hotClusters(), hot);
+
+        for (std::size_t pair = 0; pair < kPairs; ++pair) {
+            Config a(tuner.clusterCount());
+            Config b(tuner.clusterCount());
+            bool coldDiffers = false;
+            for (std::size_t c = 0; c < a.size(); ++c) {
+                auto level =
+                    static_cast<std::uint8_t>(rng.nextBounded(rungs));
+                a.setLevel(c, level);
+                if (!hot[c])
+                    level =
+                        static_cast<std::uint8_t>(rng.nextBounded(rungs));
+                b.setLevel(c, level);
+                coldDiffers = coldDiffers || a.level(c) != b.level(c);
+            }
+            coldPairs += coldDiffers ? 1 : 0;
+            SCOPED_TRACE(a.toString() + " vs " + b.toString());
+
+            benchmarks::PrecisionMap pmA = tuner.precisionMapFor(a);
+            benchmarks::PrecisionMap pmB = tuner.precisionMapFor(b);
+            EXPECT_EQ(pmA.allDouble(), pmB.allDouble());
+            for (const std::string& key : keys)
+                EXPECT_EQ(pmA.get(key), pmB.get(key)) << key;
+
+            auto aReused = runOnce(*bench, pmA, reused);
+            auto bReused = runOnce(*bench, pmB, reused);
+            runtime::RunWorkspace freshA;
+            runtime::RunWorkspace freshB;
+            auto aFresh = runOnce(*bench, pmA, freshA);
+            auto bFresh = runOnce(*bench, pmB, freshB);
+            EXPECT_TRUE(sameBits(aReused, bReused));
+            EXPECT_TRUE(sameBits(aReused, bFresh));
+            EXPECT_TRUE(sameBits(bReused, aFresh));
+        }
+    }
+    // The contract is only exercised where cold clusters exist.
+    EXPECT_GT(coldPairs, 0u);
+}
+
+} // namespace

@@ -1073,6 +1073,75 @@ TEST(RawFaults, SimulatedAndForkedHangCountersMatch)
     EXPECT_EQ(forked, simulated);
 }
 
+// ---- Executable table under isolation --------------------------------
+
+TEST(SandboxExecutables, HotspotCbForksOncePerExecutable)
+{
+    auto bench = benchmarks::BenchmarkRegistry::instance().create("hotspot");
+    core::TunerOptions opt = sandboxOptions();
+    opt.budget = {2000, 0.0};
+    core::BenchmarkTuner tuner(*bench, opt);
+    auto outcome = tuner.tune("CB");
+    EXPECT_EQ(outcome.search.evaluated, 511u);
+    EXPECT_EQ(tuner.executableCount(), 4u);
+    auto stats = tuner.sandboxStats();
+    EXPECT_EQ(stats.forks, 4u);
+    EXPECT_EQ(stats.cleanExits, 4u);
+}
+
+TEST(SandboxExecutables, PendingRawFaultOnMeasuredExecutableDetonates)
+{
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
+    core::BenchmarkTuner tuner(bench, sandboxOptions());
+    Config cfg(tuner.clusterCount());
+    cfg.set(dataCluster(tuner, bench));
+    ASSERT_EQ(tuner.clusterProblem().evaluate(cfg).status,
+              EvalStatus::Pass);
+    ASSERT_EQ(tuner.executableCount(), 1u);
+
+    // The executable is already in the table, yet the attempt that
+    // carries a raw fault still reaches a worker and dies there.
+    search::setPendingRawFault(search::RawFault::Crash);
+    auto eval = tuner.clusterProblem().evaluate(cfg);
+    EXPECT_EQ(search::pendingRawFault(), search::RawFault::None);
+    EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
+    EXPECT_FALSE(eval.memoizable);
+    auto stats = tuner.sandboxStats();
+    EXPECT_EQ(stats.forks, 2u);
+    EXPECT_EQ(stats.signaled + stats.nonZeroExits, 1u);
+
+    // The crash is not stored: a clean attempt is served the first
+    // measurement without forking.
+    EXPECT_EQ(tuner.clusterProblem().evaluate(cfg).status,
+              EvalStatus::Pass);
+    EXPECT_EQ(tuner.sandboxStats().forks, 2u);
+    EXPECT_EQ(tuner.executableCount(), 1u);
+}
+
+TEST(SandboxExecutables, EveryInjectedRawCrashDetonatesInItsOwnAttempt)
+{
+    auto bench = benchmarks::BenchmarkRegistry::instance().create("hotspot");
+    core::TunerOptions opt = sandboxOptions();
+    opt.budget = {2000, 0.0};
+    opt.faultPlan.rawCrashRate = 0.05;
+    opt.faultPlan.seed = 41;
+    core::BenchmarkTuner tuner(*bench, opt);
+    auto outcome = tuner.tune("CB");
+    EXPECT_EQ(outcome.search.evaluated, 511u);
+
+    auto* faulty = dynamic_cast<search::FaultyProblem*>(
+        &tuner.searchClusterProblem());
+    ASSERT_NE(faulty, nullptr);
+    const std::size_t injected = faulty->injector().rawCrashesInjected();
+    EXPECT_GT(injected, 0u);
+    // One crashed child per injected fault; the clean children are
+    // the executables measured.
+    auto stats = tuner.sandboxStats();
+    EXPECT_EQ(stats.signaled + stats.nonZeroExits, injected);
+    EXPECT_EQ(stats.cleanExits, tuner.executableCount());
+    EXPECT_EQ(stats.forks, injected + stats.cleanExits);
+}
+
 // --- kill -9 mid-campaign, then --resume ----------------------------
 
 /** Complete records across the memo segments in @p dir so far. */
