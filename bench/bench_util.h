@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Shared scaffolding for the table/figure bench binaries.
+ * Shared scaffolding for the bench binaries.
  *
  * Every bench accepts:
  *   --budget N    max evaluated configurations per search
