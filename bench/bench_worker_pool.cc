@@ -174,7 +174,7 @@ stealBatchSeconds(search::SearchContext::BatchScheduling mode,
         (void)ctx.evaluateBatch(batch);
     }
     double seconds = timer.seconds();
-    steals = ctx.stealCount();
+    steals = ctx.counters().steals;
     return seconds;
 }
 

@@ -86,15 +86,7 @@ outcomeToJson(const std::string& benchmark, const std::string& strategy,
     root.set("benchmark", Value::string(benchmark));
     root.set("strategy", Value::string(strategy));
     root.set("threshold", Value::number(threshold));
-    root.set("evaluated_configurations",
-             Value::number(
-                 static_cast<double>(outcome.search.evaluated)));
-    root.set("compile_failures",
-             Value::number(static_cast<double>(
-                 outcome.search.compileFailures)));
-    root.set("cache_hits",
-             Value::number(
-                 static_cast<double>(outcome.search.cacheHits)));
+    search::writeCounters(root, outcome.search);
     root.set("timed_out", Value::boolean(outcome.search.timedOut));
     root.set("search_seconds",
              Value::number(outcome.search.searchSeconds));

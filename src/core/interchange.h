@@ -12,8 +12,9 @@
  *
  *  - clusteringToJson: the Typeforge partitioning of a program
  *    (variables, clusters, bind keys);
- *  - outcomeToJson: one completed tuning run (strategy, EV, compile
- *    failures, winning configuration, final speedup/quality);
+ *  - outcomeToJson: one completed tuning run (strategy, the search
+ *    counters under their kCounterFields keys, winning
+ *    configuration, final speedup/quality);
  *  - configToJson / configFromJson: a precision configuration as
  *    {"sites": N, "lowered": [indices...]}.
  */

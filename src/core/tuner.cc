@@ -956,11 +956,8 @@ BenchmarkTuner::tunePortfolio(
 
     PortfolioOutcome outcome;
     outcome.portfolio = search::runPortfolio(entrants, portfolioOptions);
-    for (const auto& result : outcome.portfolio.results) {
-        outcome.totalEvaluated += result.evaluated;
-        outcome.totalCacheHits += result.cacheHits;
-        outcome.totalMemoHits += result.memoHits;
-    }
+    for (const auto& result : outcome.portfolio.results)
+        outcome.total += result;
 
     // Speedups measured *during* the race are contention-inflated
     // (entrants time-share the machine with each other), so they only

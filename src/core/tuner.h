@@ -169,6 +169,8 @@ struct SandboxStats {
         return nonZeroExits + signaled + killedOnDeadline +
                arenaCorrupt + spawnFailed;
     }
+
+    bool operator==(const SandboxStats&) const = default;
 };
 
 /** Result of a full tuning run with one strategy. */
@@ -199,11 +201,7 @@ struct PortfolioOutcome {
     search::Config clusterConfig;      ///< winner at cluster granularity
     double finalSpeedup = 1.0;         ///< 10-run protocol measurement
     double finalQualityLoss = 0.0;     ///< loss of the winner
-
-    /// Portfolio-wide accounting, summed over entrants.
-    std::size_t totalEvaluated = 0;
-    std::size_t totalCacheHits = 0;
-    std::size_t totalMemoHits = 0;
+    search::SearchCounters total;      ///< summed over the entrants
 };
 
 /** Drives mixed-precision tuning of one benchmark. */

@@ -47,38 +47,6 @@ sizeArg(const ExtraArgs& args, const char* name, std::size_t fallback)
     return static_cast<std::size_t>(v);
 }
 
-/** Copy the per-search accounting into an analysis result. */
-void
-fillSearchCounters(AnalysisResult& result,
-                   const search::SearchResult& searchResult)
-{
-    result.evaluated = searchResult.evaluated;
-    result.compileFailures = searchResult.compileFailures;
-    result.cacheHits = searchResult.cacheHits;
-    result.memoHits = searchResult.memoHits;
-    result.retries = searchResult.retries;
-    result.deadlineMisses = searchResult.deadlineMisses;
-    result.quarantined = searchResult.quarantined;
-    result.steals = searchResult.steals;
-    result.timedOut = searchResult.timedOut;
-}
-
-/** Copy the tuner's executable count and sandbox accounting into an
- *  analysis result. */
-void
-fillTunerStats(AnalysisResult& result, const core::BenchmarkTuner& tuner)
-{
-    result.executables = tuner.executableCount();
-    const core::SandboxStats stats = tuner.sandboxStats();
-    result.childForks = stats.forks;
-    result.childKills = stats.killedOnDeadline;
-    result.childNonZeroExits = stats.nonZeroExits;
-    result.childSignaled = stats.signaled;
-    result.childArenaCorrupt = stats.arenaCorrupt;
-    result.childRespawns = stats.workerRespawns;
-    result.childSpawnMeanSeconds = stats.spawnOverheadMeanSeconds;
-}
-
 } // namespace
 
 AnalysisResult
@@ -112,12 +80,14 @@ FloatsmithAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     }
 
     AnalysisResult result;
+    static_cast<search::SearchCounters&>(result) = outcome.search;
     result.analysis = name();
     result.detail = code;
     result.speedup = outcome.finalSpeedup;
     result.qualityLoss = outcome.finalQualityLoss;
-    fillSearchCounters(result, outcome.search);
-    fillTunerStats(result, tuner);
+    result.executables = tuner.executableCount();
+    result.timedOut = outcome.search.timedOut;
+    result.sandbox = tuner.sandboxStats();
     result.configuration = outcome.clusterConfig.toString();
     return result;
 }
@@ -155,10 +125,12 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
                               search::Granularity::Variable));
 
     AnalysisResult result;
+    static_cast<search::SearchCounters&>(result) = searchResult;
     result.analysis = name();
     result.detail = "DD/variables";
-    fillSearchCounters(result, searchResult);
-    fillTunerStats(result, tuner);
+    result.executables = tuner.executableCount();
+    result.timedOut = searchResult.timedOut;
+    result.sandbox = tuner.sandboxStats();
     if (searchResult.foundImprovement) {
         search::Config clusterCfg =
             tuner.toClusterConfig(searchResult.best);
@@ -209,24 +181,17 @@ PortfolioAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     const search::SearchResult& winner =
         outcome.portfolio.results[outcome.portfolio.winner];
 
+    // Portfolio-wide accounting; the per-entrant breakdown lives in
+    // the portfolio result, the table shows the campaign totals.
     AnalysisResult result;
+    static_cast<search::SearchCounters&>(result) = outcome.total;
     result.analysis = name();
     result.detail = strCat("winner:", outcome.winnerCode);
     result.speedup = outcome.finalSpeedup;
     result.qualityLoss = outcome.finalQualityLoss;
-    // Portfolio-wide accounting; the per-entrant breakdown lives in
-    // the portfolio result, the table shows the campaign totals.
-    result.evaluated = outcome.totalEvaluated;
-    result.cacheHits = outcome.totalCacheHits;
-    result.memoHits = outcome.totalMemoHits;
-    for (const auto& entrant : outcome.portfolio.results) {
-        result.compileFailures += entrant.compileFailures;
-        result.retries += entrant.retries;
-        result.deadlineMisses += entrant.deadlineMisses;
-        result.quarantined += entrant.quarantined;
-    }
+    result.executables = tuner.executableCount();
     result.timedOut = winner.timedOut;
-    fillTunerStats(result, tuner);
+    result.sandbox = tuner.sandboxStats();
     result.configuration = outcome.clusterConfig.toString();
     return result;
 }

@@ -30,32 +30,18 @@ namespace hpcmixp::harness {
 /** Free-form key/value arguments from the YAML `extra_args` clause. */
 using ExtraArgs = std::map<std::string, std::string>;
 
-/** Uniform result of one analysis run. */
-struct AnalysisResult {
+/** Uniform result of one analysis run: the search counters (summed
+ *  over the entrants of a portfolio) plus the answer. */
+struct AnalysisResult : search::SearchCounters {
     std::string analysis;        ///< analysis name
     std::string detail;          ///< e.g. the algorithm used
     double speedup = 1.0;        ///< final measured speedup
     double qualityLoss = 0.0;    ///< final quality loss
-    std::size_t evaluated = 0;   ///< configurations evaluated (EV)
     std::size_t executables = 0; ///< distinct executables timed
-    std::size_t compileFailures = 0;
-    std::size_t cacheHits = 0;   ///< in-run repeat queries
-    std::size_t memoHits = 0;    ///< cross-run memo-cache hits
-    std::size_t retries = 0;     ///< transient-failure re-attempts
-    std::size_t deadlineMisses = 0; ///< attempts discarded as stragglers
-    std::size_t quarantined = 0; ///< configs failed after retries
-    std::size_t steals = 0;      ///< batch evals run by a stealing worker
     bool timedOut = false;
     std::string configuration;   ///< winning cluster config bits
-
     /// Sandbox accounting (--isolation=fork|pool); all zero otherwise.
-    std::size_t childForks = 0;       ///< forked evaluation children
-    std::size_t childKills = 0;       ///< SIGKILLed on deadline
-    std::size_t childNonZeroExits = 0; ///< quarantined: nonzero exit
-    std::size_t childSignaled = 0;    ///< quarantined: died by signal
-    std::size_t childArenaCorrupt = 0; ///< quarantined: torn result arena
-    std::size_t childRespawns = 0;    ///< pool workers re-forked after death
-    double childSpawnMeanSeconds = 0.0; ///< mean fork+reap/dispatch overhead
+    core::SandboxStats sandbox;
 };
 
 /** Base class for harness analyses (the paper's plugin interface). */

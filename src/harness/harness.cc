@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "benchmarks/registry.h"
+#include "search/counters.h"
 #include "search/prior.h"
 #include "support/logging.h"
 #include "support/memo_log.h"
@@ -100,80 +102,94 @@ jobKey(const JobSpec& spec, std::size_t index)
     return key.dump();
 }
 
+/** Report names of the SandboxStats counts, in the `sandbox` block;
+ *  spawnOverheadMeanSeconds goes beside them. */
+struct SandboxField {
+    std::size_t core::SandboxStats::*member;
+    const char* key;
+};
+
+constexpr SandboxField kSandboxFields[] = {
+    {&core::SandboxStats::forks, "forks"},
+    {&core::SandboxStats::killedOnDeadline, "kills"},
+    {&core::SandboxStats::nonZeroExits, "nonzero_exits"},
+    {&core::SandboxStats::signaled, "signaled"},
+    {&core::SandboxStats::arenaCorrupt, "arena_corrupt"},
+    {&core::SandboxStats::workerRespawns, "respawns"},
+    {&core::SandboxStats::cleanExits, "clean_exits"},
+    {&core::SandboxStats::spawnFailed, "spawn_failed"},
+    {&core::SandboxStats::fastFailed, "fast_failed"},
+    {&core::SandboxStats::poolDispatches, "pool_dispatches"},
+};
+static_assert(std::size(kSandboxFields) * sizeof(std::size_t) +
+                      sizeof(double) ==
+                  sizeof(core::SandboxStats),
+              "every SandboxStats count needs a kSandboxFields entry");
+
+/**
+ * The report entry of one job: the object --json writes for it, and
+ * the record the job journal stores for a completed job.
+ */
 Value
-analysisResultToJson(const AnalysisResult& r)
+resultToJson(const JobResult& job)
 {
-    Value v = Value::object();
-    v.set("analysis", Value::string(r.analysis));
-    v.set("detail", Value::string(r.detail));
-    v.set("speedup", Value::number(r.speedup));
-    v.set("quality_loss", Value::number(r.qualityLoss));
-    v.set("evaluated", Value::number(static_cast<double>(r.evaluated)));
-    v.set("executables",
-          Value::number(static_cast<double>(r.executables)));
-    v.set("compile_failures",
-          Value::number(static_cast<double>(r.compileFailures)));
-    v.set("cache_hits",
-          Value::number(static_cast<double>(r.cacheHits)));
-    v.set("memo_hits",
-          Value::number(static_cast<double>(r.memoHits)));
-    v.set("retries", Value::number(static_cast<double>(r.retries)));
-    v.set("deadline_misses",
-          Value::number(static_cast<double>(r.deadlineMisses)));
-    v.set("quarantined",
-          Value::number(static_cast<double>(r.quarantined)));
-    v.set("steals", Value::number(static_cast<double>(r.steals)));
-    v.set("timed_out", Value::boolean(r.timedOut));
-    v.set("configuration", Value::string(r.configuration));
-    v.set("child_forks",
-          Value::number(static_cast<double>(r.childForks)));
-    v.set("child_kills",
-          Value::number(static_cast<double>(r.childKills)));
-    v.set("child_nonzero_exits",
-          Value::number(static_cast<double>(r.childNonZeroExits)));
-    v.set("child_signaled",
-          Value::number(static_cast<double>(r.childSignaled)));
-    v.set("child_arena_corrupt",
-          Value::number(static_cast<double>(r.childArenaCorrupt)));
-    v.set("child_respawns",
-          Value::number(static_cast<double>(r.childRespawns)));
-    v.set("child_spawn_mean_seconds",
-          Value::number(r.childSpawnMeanSeconds));
-    return v;
+    Value entry = Value::object();
+    entry.set("benchmark", Value::string(job.spec.benchmark));
+    entry.set("analysis", Value::string(job.spec.analysis));
+    entry.set("threshold", Value::number(job.spec.threshold));
+    if (!job.error.empty()) {
+        entry.set("error", Value::string(job.error));
+        return entry;
+    }
+    const AnalysisResult& r = job.result;
+    entry.set("algorithm", Value::string(r.detail));
+    entry.set("speedup", Value::number(r.speedup));
+    entry.set("quality_loss", Value::number(r.qualityLoss));
+    search::writeCounters(entry, r);
+    entry.set("executables",
+              Value::number(static_cast<double>(r.executables)));
+    entry.set("timed_out", Value::boolean(r.timedOut));
+    entry.set("restored", Value::boolean(job.restored));
+    entry.set("configuration", Value::string(r.configuration));
+    // Sandbox breakdown (--isolation=fork|pool): quarantines by
+    // child exit class plus the mean fork+reap (fork) or dispatch
+    // (pool) overhead per clean child.
+    Value sandbox = Value::object();
+    for (const SandboxField& f : kSandboxFields)
+        sandbox.set(f.key, Value::number(static_cast<double>(
+                               r.sandbox.*f.member)));
+    sandbox.set("spawn_overhead_mean_seconds",
+                Value::number(r.sandbox.spawnOverheadMeanSeconds));
+    entry.set("sandbox", std::move(sandbox));
+    return entry;
 }
 
+/** The result resultToJson() wrote for a successful job; fatal()s on
+ *  a missing key. */
 AnalysisResult
-analysisResultFromJson(const Value& v)
+resultFromJson(const Value& entry)
 {
-    auto count = [&](const char* key) {
-        return static_cast<std::size_t>(v.at(key).asLong());
-    };
     AnalysisResult r;
-    r.analysis = v.at("analysis").asString();
-    r.detail = v.at("detail").asString();
-    r.speedup = v.at("speedup").asNumber();
+    static_cast<search::SearchCounters&>(r) = search::readCounters(entry);
+    // The registry matches names case-insensitively and every
+    // analysis reports its lower-case registry name.
+    r.analysis = support::toLower(entry.at("analysis").asString());
+    r.detail = entry.at("algorithm").asString();
+    r.speedup = entry.at("speedup").asNumber();
     // NaN quality losses serialize as null (JSON has no NaN).
-    r.qualityLoss = v.at("quality_loss").isNull()
+    r.qualityLoss = entry.at("quality_loss").isNull()
                         ? std::numeric_limits<double>::quiet_NaN()
-                        : v.at("quality_loss").asNumber();
-    r.evaluated = count("evaluated");
-    r.executables = count("executables");
-    r.compileFailures = count("compile_failures");
-    r.cacheHits = count("cache_hits");
-    r.memoHits = count("memo_hits");
-    r.retries = count("retries");
-    r.deadlineMisses = count("deadline_misses");
-    r.quarantined = count("quarantined");
-    r.steals = count("steals");
-    r.timedOut = v.at("timed_out").asBool();
-    r.configuration = v.at("configuration").asString();
-    r.childForks = count("child_forks");
-    r.childKills = count("child_kills");
-    r.childNonZeroExits = count("child_nonzero_exits");
-    r.childSignaled = count("child_signaled");
-    r.childArenaCorrupt = count("child_arena_corrupt");
-    r.childRespawns = count("child_respawns");
-    r.childSpawnMeanSeconds = v.at("child_spawn_mean_seconds").asNumber();
+                        : entry.at("quality_loss").asNumber();
+    r.executables =
+        static_cast<std::size_t>(entry.at("executables").asLong());
+    r.timedOut = entry.at("timed_out").asBool();
+    r.configuration = entry.at("configuration").asString();
+    const Value& sandbox = entry.at("sandbox");
+    for (const SandboxField& f : kSandboxFields)
+        r.sandbox.*f.member =
+            static_cast<std::size_t>(sandbox.at(f.key).asLong());
+    r.sandbox.spawnOverheadMeanSeconds =
+        sandbox.at("spawn_overhead_mean_seconds").asNumber();
     return r;
 }
 
@@ -201,7 +217,8 @@ journalHeader(const HarnessOptions& options)
 
 /**
  * Completed-jobs journal of a memo directory: one {job, result}
- * record per successfully completed job, in `jobs-<hash>.log` named
+ * record per successfully completed job, the result being the job's
+ * --json entry (resultToJson), in `jobs-<hash>.log` named
  * after the campaign header the way MemoStore names memo segments.
  * AppendLog does no locking, so concurrent jobs append through one
  * mutex here.
@@ -222,7 +239,7 @@ class JobJournal {
             try {
                 Value record = support::json::parse(text);
                 done[record.at("job").asString()] =
-                    analysisResultFromJson(record.at("result"));
+                    resultFromJson(record.at("result"));
             } catch (const support::FatalError& e) {
                 support::warn(strCat("harness: skipping malformed job "
                                      "journal record: ",
@@ -233,11 +250,11 @@ class JobJournal {
     }
 
     void
-    append(const std::string& key, const AnalysisResult& result)
+    append(const std::string& key, const JobResult& job)
     {
         Value record = Value::object();
         record.set("job", Value::string(key));
-        record.set("result", analysisResultToJson(result));
+        record.set("result", resultToJson(job));
         std::lock_guard<std::mutex> lock(mutex_);
         log_.append(record.dump());
     }
@@ -370,7 +387,7 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
         // Failed jobs stay out of the journal so a resumed campaign
         // retries them.
         if (journal && results[i].error.empty())
-            journal->append(key, results[i].result);
+            journal->append(key, results[i]);
     };
 
     if (options.jobs <= 1) {
@@ -391,119 +408,49 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
 support::json::Value
 resultsToJson(const std::vector<JobResult>& results)
 {
-    using support::json::Value;
     Value root = Value::array();
-    for (const auto& r : results) {
-        Value entry = Value::object();
-        entry.set("benchmark", Value::string(r.spec.benchmark));
-        entry.set("analysis", Value::string(r.spec.analysis));
-        entry.set("threshold", Value::number(r.spec.threshold));
-        if (!r.error.empty()) {
-            entry.set("error", Value::string(r.error));
-            root.push(std::move(entry));
-            continue;
-        }
-        entry.set("algorithm", Value::string(r.result.detail));
-        entry.set("speedup", Value::number(r.result.speedup));
-        entry.set("quality_loss",
-                  Value::number(r.result.qualityLoss));
-        entry.set("evaluated_configurations",
-                  Value::number(
-                      static_cast<double>(r.result.evaluated)));
-        entry.set("executables",
-                  Value::number(
-                      static_cast<double>(r.result.executables)));
-        entry.set("compile_failures",
-                  Value::number(static_cast<double>(
-                      r.result.compileFailures)));
-        entry.set("cache_hits",
-                  Value::number(
-                      static_cast<double>(r.result.cacheHits)));
-        entry.set("memo_hits",
-                  Value::number(
-                      static_cast<double>(r.result.memoHits)));
-        entry.set("retries",
-                  Value::number(
-                      static_cast<double>(r.result.retries)));
-        entry.set("deadline_misses",
-                  Value::number(static_cast<double>(
-                      r.result.deadlineMisses)));
-        entry.set("quarantined",
-                  Value::number(
-                      static_cast<double>(r.result.quarantined)));
-        entry.set("steals",
-                  Value::number(
-                      static_cast<double>(r.result.steals)));
-        entry.set("timed_out", Value::boolean(r.result.timedOut));
-        entry.set("restored", Value::boolean(r.restored));
-        entry.set("configuration",
-                  Value::string(r.result.configuration));
-        // Sandbox breakdown (--isolation=fork|pool): quarantines by
-        // child exit class plus the mean fork+reap (fork) or dispatch
-        // (pool) overhead per clean child.
-        Value sandbox = Value::object();
-        sandbox.set("forks",
-                    Value::number(
-                        static_cast<double>(r.result.childForks)));
-        sandbox.set("kills",
-                    Value::number(
-                        static_cast<double>(r.result.childKills)));
-        sandbox.set("nonzero_exits",
-                    Value::number(static_cast<double>(
-                        r.result.childNonZeroExits)));
-        sandbox.set("signaled",
-                    Value::number(
-                        static_cast<double>(r.result.childSignaled)));
-        sandbox.set("arena_corrupt",
-                    Value::number(static_cast<double>(
-                        r.result.childArenaCorrupt)));
-        sandbox.set("respawns",
-                    Value::number(static_cast<double>(
-                        r.result.childRespawns)));
-        sandbox.set("spawn_overhead_mean_seconds",
-                    Value::number(r.result.childSpawnMeanSeconds));
-        entry.set("sandbox", std::move(sandbox));
-        root.push(std::move(entry));
-    }
+    for (const auto& r : results)
+        root.push(resultToJson(r));
     return root;
 }
 
 void
 printResults(std::ostream& os, const std::vector<JobResult>& results)
 {
-    support::Table table({"benchmark", "analysis", "algorithm",
-                          "speedup", "quality", "EV", "cache", "memo",
-                          "retries", "steals", "kills", "spawn_ms",
-                          "status"});
+    std::vector<std::string> headers = {"benchmark", "analysis",
+                                        "algorithm", "speedup",
+                                        "quality"};
+    for (const search::CounterField& f : search::kCounterFields)
+        if (f.column)
+            headers.push_back(f.column);
+    headers.insert(headers.end(), {"kills", "spawn_ms", "status"});
+    support::Table table(headers);
     for (const auto& r : results) {
         if (!r.error.empty()) {
-            table.addRow({r.spec.benchmark, r.spec.analysis, "-", "-",
-                          "-", "-", "-", "-", "-", "-", "-", "-",
-                          strCat("error: ", r.error)});
+            std::vector<std::string> row(headers.size(), "-");
+            row[0] = r.spec.benchmark;
+            row[1] = r.spec.analysis;
+            row.back() = strCat("error: ", r.error);
+            table.addRow(std::move(row));
             continue;
         }
         const char* status = r.result.timedOut ? "timeout"
                              : r.restored      ? "restored"
                                                : "ok";
-        table.addRow({r.spec.benchmark, r.result.analysis,
-                      r.result.detail,
-                      support::Table::cell(r.result.speedup, 2),
-                      support::Table::cellSci(r.result.qualityLoss),
-                      support::Table::cell(
-                          static_cast<long>(r.result.evaluated)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.cacheHits)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.memoHits)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.retries)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.steals)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.childKills)),
-                      support::Table::cell(
-                          r.result.childSpawnMeanSeconds * 1e3, 2),
-                      status});
+        std::vector<std::string> row = {
+            r.spec.benchmark, r.result.analysis, r.result.detail,
+            support::Table::cell(r.result.speedup, 2),
+            support::Table::cellSci(r.result.qualityLoss)};
+        for (const search::CounterField& f : search::kCounterFields)
+            if (f.column)
+                row.push_back(support::Table::cell(
+                    static_cast<long>(r.result.*f.member)));
+        row.push_back(support::Table::cell(
+            static_cast<long>(r.result.sandbox.killedOnDeadline)));
+        row.push_back(support::Table::cell(
+            r.result.sandbox.spawnOverheadMeanSeconds * 1e3, 2));
+        row.push_back(status);
+        table.addRow(std::move(row));
     }
     table.print(os);
 }

@@ -109,17 +109,20 @@ SearchContext::batchScheduling() const
     return scheduling_;
 }
 
-std::size_t
-SearchContext::stealCount() const
+SearchCounters
+SearchContext::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return retiredSteals_ + (pool_ ? pool_->stealCount() : 0);
+    SearchCounters counters = counters_;
+    if (pool_)
+        counters.steals += pool_->stealCount();
+    return counters;
 }
 
 void
 SearchContext::checkBudgetLocked()
 {
-    bool overEvals = executed_ >= budget_.maxEvaluations;
+    bool overEvals = counters_.evaluated >= budget_.maxEvaluations;
     bool overTime = budget_.maxSeconds > 0.0 &&
                     timer_.seconds() >= budget_.maxSeconds;
     bool cancelled =
@@ -146,13 +149,13 @@ SearchContext::noteBestLocked(const Config& config, const Evaluation& eval)
  * discards stragglers the way SLURM kills an overdue task.
  *
  * Side-effect-free with respect to the context: resilience events land
- * in @p counters and are merged into the shared totals only when the
+ * in @p task and are merged into the shared totals only when the
  * result commits, so speculative batch evaluations that get discarded
  * by the budget leave no trace.
  */
 Evaluation
 SearchContext::evaluateResilient(const Config& config,
-                                 TaskCounters& counters,
+                                 SearchCounters& task,
                                  support::Pcg32& jitterRng)
 {
     // Strict prior mode: a configuration that lowers a pinned site is
@@ -183,7 +186,7 @@ SearchContext::evaluateResilient(const Config& config,
             missedDeadline = true;
         }
         if (missedDeadline) {
-            ++counters.deadlineMisses;
+            ++task.deadlineMisses;
             const bool memoizable = eval.memoizable;
             eval = Evaluation{};
             eval.status = EvalStatus::RuntimeFail;
@@ -198,7 +201,7 @@ SearchContext::evaluateResilient(const Config& config,
         if (eval.status != EvalStatus::RuntimeFail ||
             attempt >= maxAttempts)
             break;
-        ++counters.retries;
+        ++task.retries;
         if (resilience_.sleepBetweenRetries)
             support::sleepForSeconds(support::backoffDelaySeconds(
                 resilience_.backoff, attempt - 1, jitterRng));
@@ -206,7 +209,7 @@ SearchContext::evaluateResilient(const Config& config,
     // Retries exhausted: quarantine the configuration — it is cached
     // as failed and the search moves on rather than aborting.
     if (eval.status == EvalStatus::RuntimeFail && maxAttempts > 1)
-        ++counters.quarantined;
+        ++task.quarantined;
     return eval;
 }
 
@@ -219,17 +222,14 @@ SearchContext::evaluateResilient(const Config& config,
 const Evaluation&
 SearchContext::commitLocked(std::string key, const Config& config,
                             Evaluation eval,
-                            const TaskCounters& counters)
+                            const SearchCounters& task)
 {
-    retries_ += counters.retries;
-    deadlineMisses_ += counters.deadlineMisses;
-    quarantined_ += counters.quarantined;
+    counters_ += task;
     bool ran = eval.status != EvalStatus::CompileFail;
-    if (ran) {
-        ++executed_;
-    } else {
-        ++compileFails_;
-    }
+    if (ran)
+        ++counters_.evaluated;
+    else
+        ++counters_.compileFailures;
     noteBestLocked(config, eval);
     // Publish to the persistent memo before caching locally, so no
     // other context can observe the local commit yet miss the memo.
@@ -250,7 +250,7 @@ SearchContext::commitMemoHitLocked(std::string key,
                                    const Config& config,
                                    Evaluation eval)
 {
-    ++memoHits_;
+    ++counters_.memoHits;
     noteBestLocked(config, eval);
     return cache_.emplace(std::move(key), std::move(eval))
         .first->second;
@@ -270,7 +270,7 @@ SearchContext::evaluate(const Config& config)
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = cache_.find(key);
         if (it != cache_.end()) {
-            ++cacheHits_;
+            ++counters_.cacheHits;
             noteBestLocked(config, it->second);
             return it->second;
         }
@@ -284,12 +284,11 @@ SearchContext::evaluate(const Config& config)
 
     // Evaluate outside the lock; the serial path shares one jitter
     // stream, exactly as before batching existed.
-    TaskCounters counters;
-    Evaluation eval = evaluateResilient(config, counters, retryRng_);
+    SearchCounters task;
+    Evaluation eval = evaluateResilient(config, task, retryRng_);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    return commitLocked(std::move(key), config, std::move(eval),
-                        counters);
+    return commitLocked(std::move(key), config, std::move(eval), task);
 }
 
 std::vector<Evaluation>
@@ -361,7 +360,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
     // lie past the budget are evaluated speculatively here and
     // discarded below.
     std::vector<Evaluation> results(freshCount);
-    std::vector<TaskCounters> counters(freshCount);
+    std::vector<SearchCounters> tasks(freshCount);
     if (freshCount > 0) {
         const support::ThreadPool::Scheduling mode =
             batchScheduling() == BatchScheduling::Fifo
@@ -371,7 +370,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             std::lock_guard<std::mutex> lock(mutex_);
             if (pool_ && (pool_->workerCount() != jobs ||
                           pool_->scheduling() != mode)) {
-                retiredSteals_ += pool_->stealCount();
+                counters_.steals += pool_->stealCount();
                 pool_.reset();
             }
             if (!pool_)
@@ -388,10 +387,10 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             std::uint64_t jitterSeed =
                 resilience_.seed ^ keyHash(plan[i].key);
             futures.push_back(pool_->submit(
-                [this, &config, task, jitterSeed, &results, &counters] {
+                [this, &config, task, jitterSeed, &results, &tasks] {
                     support::Pcg32 rng(jitterSeed, /*stream=*/0x7e51);
                     results[task] = evaluateResilient(
-                        config, counters[task], rng);
+                        config, tasks[task], rng);
                 }));
         }
         for (auto& fut : futures)
@@ -412,7 +411,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             checkBudgetLocked();
             out[i] = commitLocked(std::move(slot.key), configs[i],
                                   std::move(results[slot.fresh]),
-                                  counters[slot.fresh]);
+                                  tasks[slot.fresh]);
         } else if (slot.kind == Kind::Memo) {
             // As in the serial path: a memo hit commits without a
             // budget check, EV increment or memo publication.
@@ -425,7 +424,7 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             auto it = cache_.find(slot.key);
             HPCMIXP_ASSERT(it != cache_.end(),
                            "batch commit: cache entry vanished");
-            ++cacheHits_;
+            ++counters_.cacheHits;
             noteBestLocked(configs[i], it->second);
             out[i] = it->second;
         }
@@ -445,55 +444,6 @@ SearchContext::hasBest() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return best_.has_value();
-}
-
-std::size_t
-SearchContext::evaluatedCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return executed_;
-}
-
-std::size_t
-SearchContext::compileFailCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return compileFails_;
-}
-
-std::size_t
-SearchContext::cacheHitCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cacheHits_;
-}
-
-std::size_t
-SearchContext::memoHitCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return memoHits_;
-}
-
-std::size_t
-SearchContext::retryCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return retries_;
-}
-
-std::size_t
-SearchContext::deadlineMissCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return deadlineMisses_;
-}
-
-std::size_t
-SearchContext::quarantinedCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return quarantined_;
 }
 
 bool

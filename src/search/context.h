@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "search/config.h"
+#include "search/counters.h"
 #include "search/memo_store.h"
 #include "search/prior.h"
 #include "search/problem.h"
@@ -145,10 +146,6 @@ class SearchContext {
     void setBatchScheduling(BatchScheduling scheduling);
     BatchScheduling batchScheduling() const;
 
-    /** Batch evaluations executed by a pool worker other than the one
-     *  they were dealt to; always 0 under Fifo. */
-    std::size_t stealCount() const;
-
     /**
      * Install a static sensitivity prior (DESIGN.md Section 11).
      * Strategies consult prior() to prune, seed and order their
@@ -190,27 +187,13 @@ class SearchContext {
     const Config& bestConfig() const;
     const Evaluation& bestEvaluation() const;
 
-    /** EV: configurations actually executed. */
-    std::size_t evaluatedCount() const;
-
-    /** Configurations rejected as compile failures. */
-    std::size_t compileFailCount() const;
-
-    /** In-run cache hits (repeat queries within this context). */
-    std::size_t cacheHitCount() const;
-
-    /** Cross-run memo hits (first-time queries served by the memo
-     *  table instead of an execution). */
-    std::size_t memoHitCount() const;
-
-    /** Re-attempts after transient RuntimeFails. */
-    std::size_t retryCount() const;
-
-    /** Attempts discarded because they outlived the deadline. */
-    std::size_t deadlineMissCount() const;
-
-    /** Configurations recorded as failed after exhausting retries. */
-    std::size_t quarantinedCount() const;
+    /**
+     * Snapshot of the counters: EV, compile failures, in-run cache
+     * hits, cross-run memo hits and the resilience events of every
+     * committed evaluation, plus the batch evaluations a pool worker
+     * stole from another (always 0 under Fifo).
+     */
+    SearchCounters counters() const;
 
     /** Seconds since the context was created. */
     double elapsedSeconds() const { return timer_.seconds(); }
@@ -226,24 +209,16 @@ class SearchContext {
     support::json::Value exportCache() const;
 
   private:
-    /** Resilience counters accumulated by one evaluation task; merged
-     *  into the shared counters only when the result commits. */
-    struct TaskCounters {
-        std::size_t retries = 0;
-        std::size_t deadlineMisses = 0;
-        std::size_t quarantined = 0;
-    };
-
     void checkBudgetLocked();
     void noteBestLocked(const Config& config, const Evaluation& eval);
     const Evaluation& commitLocked(std::string key, const Config& config,
                                    Evaluation eval,
-                                   const TaskCounters& counters);
+                                   const SearchCounters& task);
     const Evaluation& commitMemoHitLocked(std::string key,
                                           const Config& config,
                                           Evaluation eval);
     Evaluation evaluateResilient(const Config& config,
-                                 TaskCounters& counters,
+                                 SearchCounters& task,
                                  support::Pcg32& jitterRng);
 
     SearchProblem& problem_;
@@ -260,18 +235,13 @@ class SearchContext {
     mutable std::mutex mutex_; ///< guards everything below
     std::unordered_map<std::string, Evaluation> cache_;
     std::optional<std::pair<Config, Evaluation>> best_;
-    std::size_t executed_ = 0;
-    std::size_t compileFails_ = 0;
-    std::size_t cacheHits_ = 0;
-    std::size_t memoHits_ = 0;
-    std::size_t retries_ = 0;
-    std::size_t deadlineMisses_ = 0;
-    std::size_t quarantined_ = 0;
+    /// Committed counts and the steals of retired pools; counters()
+    /// adds the live pool_'s steals.
+    SearchCounters counters_;
     bool exhausted_ = false;
 
     std::size_t searchJobs_ = 1;
     BatchScheduling scheduling_ = BatchScheduling::Steal;
-    std::size_t retiredSteals_ = 0; ///< steals of discarded pools
     std::unique_ptr<support::ThreadPool> pool_;
 };
 

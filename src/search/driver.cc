@@ -24,14 +24,7 @@ runSearch(SearchProblem& problem, SearchStrategy& strategy,
         result.timedOut = true;
     }
 
-    result.evaluated = ctx.evaluatedCount();
-    result.compileFailures = ctx.compileFailCount();
-    result.cacheHits = ctx.cacheHitCount();
-    result.memoHits = ctx.memoHitCount();
-    result.retries = ctx.retryCount();
-    result.deadlineMisses = ctx.deadlineMissCount();
-    result.quarantined = ctx.quarantinedCount();
-    result.steals = ctx.stealCount();
+    static_cast<SearchCounters&>(result) = ctx.counters();
     result.searchSeconds = ctx.elapsedSeconds();
 
     if (ctx.hasBest()) {
@@ -49,25 +42,11 @@ runSearch(SearchProblem& problem, SearchStrategy& strategy,
 }
 
 SearchResult
-runSearch(SearchProblem& problem, SearchStrategy& strategy,
-          const SearchBudget& budget)
-{
-    return runSearch(problem, strategy, budget, SearchRunOptions{});
-}
-
-SearchResult
 runSearch(SearchProblem& problem, const std::string& strategyCode,
           const SearchBudget& budget, const SearchRunOptions& run)
 {
     auto strategy = StrategyRegistry::instance().create(strategyCode);
     return runSearch(problem, *strategy, budget, run);
-}
-
-SearchResult
-runSearch(SearchProblem& problem, const std::string& strategyCode,
-          const SearchBudget& budget)
-{
-    return runSearch(problem, strategyCode, budget, SearchRunOptions{});
 }
 
 } // namespace hpcmixp::search

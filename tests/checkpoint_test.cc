@@ -28,6 +28,7 @@
 #include "search/fault.h"
 #include "search/memo_store.h"
 #include "support/json.h"
+#include "support/memo_log.h"
 #include "support/yaml.h"
 
 namespace {
@@ -133,7 +134,7 @@ TEST(Checkpoint, ResumedSearchDoesNotReExecute)
     SearchContext first(problem, {5, 0.0});
     first.setMemo(reopen(path));
     EXPECT_THROW(cb.run(first), BudgetExhausted);
-    EXPECT_EQ(first.evaluatedCount(), 5u);
+    EXPECT_EQ(first.counters().evaluated, 5u);
     int executedSoFar = problem.rawCalls_;
 
     // Phase 2: a new process resumes over the same segment.
@@ -141,10 +142,10 @@ TEST(Checkpoint, ResumedSearchDoesNotReExecute)
     second.setMemo(reopen(path));
     cb.run(second); // completes
     // Only the remaining 15 - 5 = 10 configs executed.
-    EXPECT_EQ(second.evaluatedCount(), 10u);
-    EXPECT_EQ(second.memoHitCount(), 5u);
+    EXPECT_EQ(second.counters().evaluated, 10u);
+    EXPECT_EQ(second.counters().memoHits, 5u);
     EXPECT_EQ(problem.rawCalls_, executedSoFar + 10);
-    EXPECT_EQ(first.evaluatedCount() + second.evaluatedCount(), 15u);
+    EXPECT_EQ(first.counters().evaluated + second.counters().evaluated, 15u);
 }
 
 TEST(Checkpoint, RestoredBestSurvivesResume)
@@ -163,7 +164,7 @@ TEST(Checkpoint, RestoredBestSurvivesResume)
     SearchContext second(problem, {100, 0.0});
     second.setMemo(reopen(path));
     second.evaluate(best);
-    EXPECT_EQ(second.evaluatedCount(), 0u);
+    EXPECT_EQ(second.counters().evaluated, 0u);
     ASSERT_TRUE(second.hasBest());
     EXPECT_EQ(second.bestConfig(), best);
     EXPECT_DOUBLE_EQ(second.bestEvaluation().speedup, 1.3);
@@ -204,7 +205,7 @@ TEST(Checkpoint, PeriodicHookFiresEveryNExecutions)
     SearchContext warm(problem, {100, 0.0});
     warm.setMemo(reopen(path));
     warm.evaluate(Config::withLowered(4, {0})); // memo hit
-    EXPECT_EQ(warm.memoHitCount(), 1u);
+    EXPECT_EQ(warm.counters().memoHits, 1u);
     EXPECT_EQ(recordLines(path).size(), 4u);
 }
 
@@ -286,8 +287,8 @@ TEST(Checkpoint, NaNQualityLossSurvivesSerialization)
     restored.setMemo(reopen(path, 1));
     const auto& eval = restored.evaluate(Config::allLowered(1));
     EXPECT_TRUE(std::isnan(eval.qualityLoss));
-    EXPECT_EQ(restored.evaluatedCount(), 0u);
-    EXPECT_EQ(restored.memoHitCount(), 1u);
+    EXPECT_EQ(restored.counters().evaluated, 0u);
+    EXPECT_EQ(restored.counters().memoHits, 1u);
 }
 
 /**
@@ -420,12 +421,12 @@ expectSameResult(const JobResult& restored, const JobResult& original)
     EXPECT_EQ(a.detail, b.detail);
     EXPECT_EQ(a.speedup, b.speedup);
     EXPECT_EQ(a.qualityLoss, b.qualityLoss);
-    EXPECT_EQ(a.evaluated, b.evaluated);
-    EXPECT_EQ(a.compileFailures, b.compileFailures);
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.memoHits, b.memoHits);
+    for (const CounterField& f : kCounterFields)
+        EXPECT_EQ(a.*f.member, b.*f.member) << f.key;
+    EXPECT_EQ(a.executables, b.executables);
     EXPECT_EQ(a.timedOut, b.timedOut);
     EXPECT_EQ(a.configuration, b.configuration);
+    EXPECT_EQ(a.sandbox, b.sandbox);
 }
 
 /** Journalled results survive their JSON text round trip exactly. */
@@ -440,6 +441,75 @@ TEST(Checkpoint, RoundTripsThroughJsonText)
     auto second = runJobs(threeJobs(1), options);
     ASSERT_TRUE(second[0].restored);
     expectSameResult(second[0], first[0]);
+}
+
+/**
+ * A journal record in the flat pre-SearchCounters schema (`evaluated`,
+ * `child_forks`, ...) is skipped with a warning; its job re-runs on
+ * memo hits.
+ */
+TEST(Resume, OldFormatJournalRecordReRunsItsJob)
+{
+    std::string dir = freshPath("resume_old_record");
+    HarnessOptions options = campaignOptions(dir);
+    auto first = runJobs(threeJobs(1), options);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+
+    // Rewrite the journal with the same header and job key, but the
+    // result in the old schema.
+    std::string journal = journalPath(dir);
+    std::ifstream in(journal);
+    std::string header;
+    std::string line;
+    std::getline(in, header);
+    std::getline(in, line);
+    in.close();
+    Value job = hpcmixp::support::json::parse(line.substr(line.find(' ') + 1));
+    const auto& r = first[0].result;
+    auto number = [](double v) { return Value::number(v); };
+    Value old = Value::object();
+    old.set("analysis", Value::string(r.analysis));
+    old.set("detail", Value::string(r.detail));
+    old.set("speedup", number(r.speedup));
+    old.set("quality_loss", number(r.qualityLoss));
+    old.set("evaluated", number(r.evaluated));
+    old.set("executables", number(r.executables));
+    old.set("compile_failures", number(r.compileFailures));
+    old.set("cache_hits", number(r.cacheHits));
+    old.set("memo_hits", number(r.memoHits));
+    old.set("retries", number(r.retries));
+    old.set("deadline_misses", number(r.deadlineMisses));
+    old.set("quarantined", number(r.quarantined));
+    old.set("steals", number(r.steals));
+    old.set("timed_out", Value::boolean(r.timedOut));
+    old.set("configuration", Value::string(r.configuration));
+    for (const char* key :
+         {"child_forks", "child_kills", "child_nonzero_exits",
+          "child_signaled", "child_arena_corrupt", "child_respawns",
+          "child_spawn_mean_seconds"})
+        old.set(key, number(0));
+    Value record = Value::object();
+    record.set("job", job.at("job"));
+    record.set("result", std::move(old));
+    std::filesystem::remove(journal);
+    {
+        hpcmixp::support::AppendLog log(journal, header);
+        log.append(record.dump());
+    }
+
+    options.resume = true;
+    testing::internal::CaptureStderr();
+    auto second = runJobs(threeJobs(1), options);
+    std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("skipping malformed job journal record"),
+              std::string::npos)
+        << log;
+    EXPECT_FALSE(second[0].restored);
+    ASSERT_TRUE(second[0].error.empty()) << second[0].error;
+    EXPECT_EQ(second[0].result.evaluated, 0u);
+    EXPECT_EQ(second[0].result.memoHits, first[0].result.evaluated);
+    EXPECT_EQ(second[0].result.configuration,
+              first[0].result.configuration);
 }
 
 TEST(Resume, PartialCampaignRestoresCompletedJobsAndRunsNewOnes)

@@ -299,8 +299,8 @@ TEST(Resilience, TransientCrashIsRetriedToSuccess)
         EXPECT_EQ(got.status, expected.status) << cfg.toString();
         EXPECT_DOUBLE_EQ(got.speedup, expected.speedup);
     }
-    EXPECT_GT(ctx.retryCount(), 0u);
-    EXPECT_EQ(ctx.quarantinedCount(), 0u);
+    EXPECT_GT(ctx.counters().retries, 0u);
+    EXPECT_EQ(ctx.counters().quarantined, 0u);
 }
 
 TEST(Resilience, RetryExhaustionQuarantinesTheConfig)
@@ -318,15 +318,15 @@ TEST(Resilience, RetryExhaustionQuarantinesTheConfig)
 
     const auto& eval = ctx.evaluate(Config::withLowered(4, {0}));
     EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
-    EXPECT_EQ(ctx.retryCount(), 2u);
-    EXPECT_EQ(ctx.quarantinedCount(), 1u);
+    EXPECT_EQ(ctx.counters().retries, 2u);
+    EXPECT_EQ(ctx.counters().quarantined, 1u);
     EXPECT_EQ(inner.rawCalls(), 0); // the crash replaced every run
 
     // The search continues: further configs evaluate (and fail)
     // without the context aborting.
     const auto& second = ctx.evaluate(Config::withLowered(4, {1}));
     EXPECT_EQ(second.status, EvalStatus::RuntimeFail);
-    EXPECT_EQ(ctx.quarantinedCount(), 2u);
+    EXPECT_EQ(ctx.counters().quarantined, 2u);
 }
 
 TEST(Resilience, DeadlineConvertsStragglersIntoRuntimeFails)
@@ -346,9 +346,9 @@ TEST(Resilience, DeadlineConvertsStragglersIntoRuntimeFails)
 
     const auto& eval = ctx.evaluate(Config::withLowered(4, {0}));
     EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
-    EXPECT_EQ(ctx.deadlineMissCount(), 2u);
-    EXPECT_EQ(ctx.retryCount(), 1u);
-    EXPECT_EQ(ctx.quarantinedCount(), 1u);
+    EXPECT_EQ(ctx.counters().deadlineMisses, 2u);
+    EXPECT_EQ(ctx.counters().retries, 1u);
+    EXPECT_EQ(ctx.counters().quarantined, 1u);
 }
 
 TEST(Resilience, InjectedNaNLossNeverWinsASearch)

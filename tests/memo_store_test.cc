@@ -486,9 +486,9 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
         Config::withLowered(4, {1, 2}), // fresh
     };
     ctx.evaluateBatch(batch);
-    EXPECT_EQ(ctx.memoHitCount(), 2u);
-    EXPECT_EQ(ctx.cacheHitCount(), 1u);
-    EXPECT_EQ(ctx.evaluatedCount(), 2u);
+    EXPECT_EQ(ctx.counters().memoHits, 2u);
+    EXPECT_EQ(ctx.counters().cacheHits, 1u);
+    EXPECT_EQ(ctx.counters().evaluated, 2u);
     EXPECT_EQ(problem.rawCalls_.load(), 2);
     // The fresh work was published back for the next run.
     EXPECT_EQ(memo->size(), 4u);

@@ -325,7 +325,7 @@ TEST(Portfolio, TunerPortfolioBeatsNoSingleStrategy)
     for (const SearchResult& entrant : outcome.portfolio.results)
         EXPECT_GE(winner.bestEvaluation.speedup,
                   entrant.bestEvaluation.speedup);
-    EXPECT_GT(outcome.totalEvaluated, 0u);
+    EXPECT_GT(outcome.total.evaluated, 0u);
 
     // Warm rerun from the same store directory: a fresh tuner (new
     // baseline, same inputs → same fingerprint) re-executes nothing
@@ -338,8 +338,32 @@ TEST(Portfolio, TunerPortfolioBeatsNoSingleStrategy)
     core::BenchmarkTuner warmTuner(*bench, warmOptions);
     core::PortfolioOutcome warm = warmTuner.tunePortfolio(
         {"CB", "DD", "GA"}, PortfolioMode::Best, 2);
-    EXPECT_EQ(warm.totalEvaluated, 0u);
-    EXPECT_GT(warm.totalMemoHits, 0u);
+    EXPECT_EQ(warm.total.evaluated, 0u);
+    EXPECT_GT(warm.total.memoHits, 0u);
+}
+
+TEST(Portfolio, TotalSumsEveryEntrantCounter)
+{
+    // Batch-parallel entrants, so steals can be non-zero too.
+    auto bench =
+        benchmarks::BenchmarkRegistry::instance().create("hydro-1d");
+    core::TunerOptions options = fastOptions();
+    options.searchJobs = 2;
+    core::BenchmarkTuner tuner(*bench, options);
+    core::PortfolioOutcome outcome = tuner.tunePortfolio(
+        {"CB", "CM", "DD", "GA"}, PortfolioMode::Best, 2);
+
+    ASSERT_EQ(outcome.portfolio.results.size(), 4u);
+    for (const CounterField& f : kCounterFields) {
+        std::size_t sum = 0;
+        for (const SearchResult& entrant : outcome.portfolio.results)
+            sum += entrant.*f.member;
+        EXPECT_EQ(outcome.total.*f.member, sum) << f.key;
+    }
+    SearchCounters summed;
+    for (const SearchResult& entrant : outcome.portfolio.results)
+        summed += entrant;
+    EXPECT_EQ(outcome.total, summed);
 }
 
 TEST(Portfolio, VariableLevelWinnerReducesToClusterConfig)

@@ -201,7 +201,7 @@ TEST_P(SearchProperty, GeneticRespectsItsBudgetAndPasses)
     GeneticSearch ga(options);
     SearchContext ctx(problem, bigBudget());
     ga.run(ctx);
-    EXPECT_LE(ctx.evaluatedCount(),
+    EXPECT_LE(ctx.counters().evaluated,
               options.population * options.generations);
     if (ctx.hasBest())
         EXPECT_TRUE(problem.passes(ctx.bestConfig()));
@@ -229,8 +229,8 @@ TEST_P(SearchProperty, CacheNeverReExecutes)
         }
         ctx.evaluate(cfg);
     }
-    EXPECT_EQ(ctx.evaluatedCount(), distinct);
-    EXPECT_EQ(ctx.cacheHitCount(), 200u - distinct);
+    EXPECT_EQ(ctx.counters().evaluated, distinct);
+    EXPECT_EQ(ctx.counters().cacheHits, 200u - distinct);
 }
 
 /**
@@ -394,7 +394,7 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
     }
     auto evals = ctx.evaluateBatch(batch);
     EXPECT_EQ(evals.size(), batch.size());
-    EXPECT_GT(ctx.stealCount(), 0u);
+    EXPECT_GT(ctx.counters().steals, 0u);
 }
 
 /**

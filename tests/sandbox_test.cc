@@ -1266,4 +1266,70 @@ TEST(SandboxResume, SigkilledCampaignResumesWithoutRepeatingWork)
     std::filesystem::remove_all(cleanDir);
 }
 
+// ---- Harness sandbox report ---------------------------------------------
+
+const char* kTridiagDd =
+    "tridiag:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
+    "      name: 'floatsmith'\n      extra_args:\n"
+    "        algorithm: 'ddebug'\n";
+
+harness::HarnessOptions
+poolHarnessOptions()
+{
+    harness::HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    options.tuner.budget = {200, 0.0};
+    options.tuner.isolation = IsolationMode::Pool;
+    return options;
+}
+
+/** A pool job's non-zero sandbox counts survive the job journal. */
+TEST(SandboxHarness, PoolJobRoundTripsThroughTheJournal)
+{
+    TempDir dir("sandbox_journal_pool");
+    auto jobs = harness::parseConfig(support::yaml::parse(kTridiagDd));
+    harness::HarnessOptions options = poolHarnessOptions();
+    options.memoCacheDir = dir.string();
+    auto first = harness::runJobs(jobs, options);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+    const core::SandboxStats& sandbox = first[0].result.sandbox;
+    EXPECT_GT(sandbox.forks, 0u);
+    EXPECT_GT(sandbox.poolDispatches, 0u);
+    EXPECT_GT(sandbox.cleanExits, 0u);
+    EXPECT_GT(sandbox.spawnOverheadMeanSeconds, 0.0);
+
+    options.resume = true;
+    auto second = harness::runJobs(jobs, options);
+    ASSERT_TRUE(second[0].restored);
+    const harness::AnalysisResult& a = second[0].result;
+    const harness::AnalysisResult& b = first[0].result;
+    EXPECT_EQ(static_cast<const search::SearchCounters&>(a),
+              static_cast<const search::SearchCounters&>(b));
+    EXPECT_EQ(a.executables, b.executables);
+    EXPECT_EQ(a.sandbox, b.sandbox);
+    EXPECT_EQ(a.speedup, b.speedup);
+    EXPECT_EQ(a.configuration, b.configuration);
+}
+
+/** The crash-loop cutoff's fast fails reach the --json report. */
+TEST(SandboxHarness, ReportsCrashLoopFastFails)
+{
+    auto jobs = harness::parseConfig(support::yaml::parse(kTridiagDd));
+    harness::HarnessOptions options = poolHarnessOptions();
+    options.tuner.isolationMaxCrashes = 3;
+    options.tuner.faultPlan.rawCrashRate = 0.9;
+    auto results = harness::runJobs(jobs, options);
+    ASSERT_TRUE(results[0].error.empty()) << results[0].error;
+    EXPECT_EQ(results[0].result.sandbox.crashedChildren(), 3u);
+
+    auto json = harness::resultsToJson(results);
+    const auto& sandbox = json.items()[0].at("sandbox");
+    EXPECT_GT(sandbox.at("fast_failed").asLong(), 0);
+    EXPECT_EQ(sandbox.at("fast_failed").asLong(),
+              static_cast<long>(results[0].result.sandbox.fastFailed));
+    EXPECT_EQ(sandbox.at("pool_dispatches").asLong(),
+              static_cast<long>(results[0].result.sandbox.poolDispatches));
+}
+
 } // namespace

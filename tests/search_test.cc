@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -127,6 +128,30 @@ TEST(ConfigDeathTest, OutOfRangePanics)
 
 // ---- SearchContext -----------------------------------------------------
 
+// ---- SearchCounters ----------------------------------------------------
+
+TEST(SearchCountersTest, SumCompareAndJsonCoverEveryField)
+{
+    using hpcmixp::support::json::Value;
+    SearchCounters a;
+    std::size_t next = 1;
+    for (const CounterField& f : kCounterFields)
+        a.*f.member = next++;
+    SearchCounters sum = a;
+    sum += a;
+    for (const CounterField& f : kCounterFields) {
+        EXPECT_EQ(sum.*f.member, 2 * (a.*f.member)) << f.key;
+        SearchCounters other = a;
+        ++(other.*f.member);
+        EXPECT_NE(other, a) << f.key;
+    }
+
+    Value v = Value::object();
+    writeCounters(v, sum);
+    EXPECT_EQ(v.keys().size(), std::size(kCounterFields));
+    EXPECT_EQ(readCounters(hpcmixp::support::json::parse(v.dump())), sum);
+}
+
 TEST(Context, CachesRepeatEvaluations)
 {
     MockProblem problem(3, [](const Config&) { return true; });
@@ -136,8 +161,8 @@ TEST(Context, CachesRepeatEvaluations)
     ctx.evaluate(cfg);
     ctx.evaluate(cfg);
     EXPECT_EQ(problem.rawCalls(), 1);
-    EXPECT_EQ(ctx.evaluatedCount(), 1u);
-    EXPECT_EQ(ctx.cacheHitCount(), 2u);
+    EXPECT_EQ(ctx.counters().evaluated, 1u);
+    EXPECT_EQ(ctx.counters().cacheHits, 2u);
 }
 
 TEST(Context, CompileFailuresAreNotEV)
@@ -148,8 +173,8 @@ TEST(Context, CompileFailuresAreNotEV)
     SearchContext ctx(problem, bigBudget());
     ctx.evaluate(Config::withLowered(2, {0}));  // compile fail
     ctx.evaluate(Config::withLowered(2, {0, 1}));
-    EXPECT_EQ(ctx.evaluatedCount(), 1u);
-    EXPECT_EQ(ctx.compileFailCount(), 1u);
+    EXPECT_EQ(ctx.counters().evaluated, 1u);
+    EXPECT_EQ(ctx.counters().compileFailures, 1u);
 }
 
 TEST(Context, TracksBestPassingBySpeedup)
@@ -199,8 +224,8 @@ TEST(BatchEvaluate, AccountsHitsAndDuplicatesLikeTheSerialLoop)
         auto evals = ctx.evaluateBatch(batch);
         ASSERT_EQ(evals.size(), 4u);
         EXPECT_DOUBLE_EQ(evals[1].speedup, evals[2].speedup);
-        EXPECT_EQ(ctx.evaluatedCount(), 3u) << "jobs=" << jobs;
-        EXPECT_EQ(ctx.cacheHitCount(), 2u) << "jobs=" << jobs;
+        EXPECT_EQ(ctx.counters().evaluated, 3u) << "jobs=" << jobs;
+        EXPECT_EQ(ctx.counters().cacheHits, 2u) << "jobs=" << jobs;
         EXPECT_EQ(problem.rawCalls(), 3) << "jobs=" << jobs;
         ASSERT_TRUE(ctx.hasBest());
         EXPECT_EQ(ctx.bestConfig(), Config::withLowered(3, {1, 2}));
@@ -219,7 +244,7 @@ TEST(BatchEvaluate, BudgetCutsTheBatchAtTheSerialPoint)
         EXPECT_THROW(ctx.evaluateBatch(batch), BudgetExhausted);
         // Exactly the serial prefix committed; the speculative tail
         // left no trace in EV, cache, or best.
-        EXPECT_EQ(ctx.evaluatedCount(), 3u) << "jobs=" << jobs;
+        EXPECT_EQ(ctx.counters().evaluated, 3u) << "jobs=" << jobs;
         EXPECT_TRUE(ctx.isCached(Config::withLowered(8, {2})));
         EXPECT_FALSE(ctx.isCached(Config::withLowered(8, {3})));
         EXPECT_TRUE(ctx.exhausted());
@@ -244,8 +269,8 @@ TEST(BatchEvaluate, CompileFailuresCountedIdenticallyInParallel)
         };
         auto evals = ctx.evaluateBatch(batch);
         EXPECT_EQ(evals[0].status, EvalStatus::CompileFail);
-        EXPECT_EQ(ctx.evaluatedCount(), 2u) << "jobs=" << jobs;
-        EXPECT_EQ(ctx.compileFailCount(), 2u) << "jobs=" << jobs;
+        EXPECT_EQ(ctx.counters().evaluated, 2u) << "jobs=" << jobs;
+        EXPECT_EQ(ctx.counters().compileFailures, 2u) << "jobs=" << jobs;
     }
 }
 
@@ -258,7 +283,7 @@ TEST(BatchEvaluate, EmptyAndSingletonBatches)
     std::vector<Config> one{Config::withLowered(2, {0})};
     auto evals = ctx.evaluateBatch(one);
     ASSERT_EQ(evals.size(), 1u);
-    EXPECT_EQ(ctx.evaluatedCount(), 1u);
+    EXPECT_EQ(ctx.counters().evaluated, 1u);
 }
 
 // ---- Strategies ----------------------------------------------------------
@@ -472,8 +497,8 @@ TEST(Genetic, EvaluationCountIsBoundedByPopulationTimesGenerations)
     GeneticSearch ga(opt);
     SearchContext ctx(problem, bigBudget());
     ga.run(ctx);
-    EXPECT_LE(ctx.evaluatedCount(), opt.population * opt.generations);
-    EXPECT_GT(ctx.evaluatedCount(), 0u);
+    EXPECT_LE(ctx.counters().evaluated, opt.population * opt.generations);
+    EXPECT_GT(ctx.counters().evaluated, 0u);
 }
 
 TEST(Genetic, SmallSiteCountsDeduplicateNaturally)

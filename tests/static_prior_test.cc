@@ -251,13 +251,13 @@ TEST(StaticPrior, StrictRejectsViolationsWithoutExecuting)
     EXPECT_EQ(eval.status, EvalStatus::CompileFail);
     EXPECT_TRUE(problem.evaluated().empty())
         << "violating config must not reach the problem";
-    EXPECT_EQ(ctx.evaluatedCount(), 0u);
-    EXPECT_EQ(ctx.compileFailCount(), 1u);
+    EXPECT_EQ(ctx.counters().evaluated, 0u);
+    EXPECT_EQ(ctx.counters().compileFailures, 1u);
 
     // Conforming configurations still execute normally.
     const Evaluation& ok = ctx.evaluate(Config::withLowered(4, {0}));
     EXPECT_TRUE(ok.passed());
-    EXPECT_EQ(ctx.evaluatedCount(), 1u);
+    EXPECT_EQ(ctx.counters().evaluated, 1u);
 }
 
 TEST(StaticPriorDeathTest, SiteCountMismatchPanics)
