@@ -19,9 +19,8 @@ namespace hpcmixp::verify {
 
 /** Outcome of verifying one approximated output. */
 struct Verdict {
-    bool passed = false;  ///< loss <= threshold and loss is finite
-    double loss = 0.0;    ///< uniform quality loss (NaN if destroyed)
-    double rawValue = 0.0; ///< raw metric value
+    bool passed = false; ///< loss <= threshold and loss is finite
+    double loss = 0.0;   ///< uniform quality loss (NaN if destroyed)
 };
 
 /** Binds a metric and a threshold into a reusable verifier. */
@@ -29,11 +28,15 @@ class OutputComparator {
   public:
     /**
      * @param metricName  registry name, e.g. "MAE" or "MCR".
-     * @param threshold   maximum acceptable quality loss (inclusive).
+     * @param threshold   maximum acceptable quality loss (inclusive);
+     *                    a negative or NaN threshold is fatal.
      */
     OutputComparator(const std::string& metricName, double threshold);
 
-    /** Verify @p test against @p reference. */
+    /**
+     * Verify @p test against @p reference: one Metric::loss() call, so
+     * one pass of the bound metric over the outputs.
+     */
     Verdict verify(std::span<const double> reference,
                    std::span<const double> test) const;
 
@@ -44,19 +47,8 @@ class OutputComparator {
     double threshold() const { return threshold_; }
 
   private:
-    /**
-     * Built-in metrics resolved at construction so verify() can derive
-     * the verdict from one fused ErrorStats pass; custom metrics fall
-     * back to the compute()/loss() calls.
-     */
-    enum class Fused { None, Mae, Mse, Rmse, R2, Mcr };
-
-    /** Derive a built-in metric's verdict from one fused pass. */
-    Verdict verifyStats(const ErrorStats& stats) const;
-
     const Metric* metric_;
     double threshold_;
-    Fused fused_ = Fused::None;
 };
 
 } // namespace hpcmixp::verify

@@ -23,27 +23,6 @@ checkShapes(std::span<const double> reference, std::span<const double> test)
 
 } // namespace
 
-ErrorStats
-computeErrorStats(std::span<const double> reference,
-                  std::span<const double> test)
-{
-    checkShapes(reference, test);
-    ErrorStats stats;
-    stats.n = reference.size();
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        double r = reference[i];
-        double t = test[i];
-        double d = r - t;
-        stats.sumAbs += std::abs(d);
-        stats.sumSq += d * d;
-        stats.sumRef += r;
-        stats.sumRefSq += r * r;
-        if (std::isnan(t) || std::llround(r) != std::llround(t))
-            ++stats.mismatches;
-    }
-    return stats;
-}
-
 double
 MeanAbsoluteError::compute(std::span<const double> reference,
                            std::span<const double> test) const

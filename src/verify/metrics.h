@@ -17,8 +17,6 @@
  * can compare any metric against a single threshold.
  */
 
-#include <cmath>
-#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,6 +46,7 @@ class Metric {
     /**
      * Uniform quality loss: 0 = identical, larger = worse.
      * Defaults to the raw value; R2 overrides with 1 - R2.
+     * OutputComparator::verify() calls only this, once per candidate.
      */
     virtual double
     loss(std::span<const double> reference,
@@ -101,50 +100,6 @@ class MisclassificationRate : public Metric {
     double compute(std::span<const double> reference,
                    std::span<const double> test) const override;
 };
-
-/**
- * Error statistics between a reference and a test output, accumulated
- * in a single traversal. One pass serves every built-in metric: MAE,
- * MSE, RMSE and R2 derive from the running sums, MCR from the rounded-
- * label mismatch count. Each derived value matches the summation order
- * of the corresponding Metric::compute() except R2's total sum of
- * squares, which uses the algebraically equal sum-of-squares form.
- */
-struct ErrorStats {
-    std::size_t n = 0;          ///< number of compared elements
-    double sumAbs = 0.0;        ///< sum of |reference - test|
-    double sumSq = 0.0;         ///< sum of (reference - test)^2
-    double sumRef = 0.0;        ///< sum of reference values
-    double sumRefSq = 0.0;      ///< sum of squared reference values
-    std::size_t mismatches = 0; ///< rounded-integer label mismatches
-
-    double mae() const { return sumAbs / static_cast<double>(n); }
-    double mse() const { return sumSq / static_cast<double>(n); }
-    double rmse() const { return std::sqrt(mse()); }
-    double
-    mcr() const
-    {
-        return static_cast<double>(mismatches) /
-               static_cast<double>(n);
-    }
-
-    double
-    r2() const
-    {
-        double mean = sumRef / static_cast<double>(n);
-        double ssTot = sumRefSq - sumRef * mean;
-        double ssRes = sumSq;
-        // Constant reference (ssTot can round slightly below zero in
-        // the sum-of-squares form): perfect iff residuals vanish.
-        if (ssTot <= 0.0)
-            return ssRes == 0.0 ? 1.0 : 0.0;
-        return 1.0 - ssRes / ssTot;
-    }
-};
-
-/** Accumulate ErrorStats over @p reference and @p test in one pass. */
-ErrorStats computeErrorStats(std::span<const double> reference,
-                             std::span<const double> test);
 
 /**
  * Registry of metrics by name. The built-in five are pre-registered;

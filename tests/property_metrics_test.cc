@@ -13,6 +13,7 @@
 
 #include "runtime/half.h"
 #include "support/rng.h"
+#include "verify/comparator.h"
 #include "verify/metrics.h"
 
 namespace {
@@ -119,14 +120,18 @@ TEST_P(MetricProperty, WorseningOnePointNeverImprovesMae)
 }
 
 /**
- * The fused single-pass ErrorStats must agree with every individual
- * metric when the test vector is a 16-bit degradation of the
- * reference — the exact shape a half / bfloat16 ladder rung produces.
+ * A comparator's verdict loss must be exactly its metric's loss() for
+ * every built-in metric when the test vector is a 16-bit degradation
+ * of the reference — the exact shape a half / bfloat16 ladder rung
+ * produces. (The test names predate the removal of the fused
+ * all-metrics pass; what they pin is OutputComparator::verify.)
  */
 TEST_P(MetricProperty, FusedStatsMatchMetricsOnHalfDegradedOutput)
 {
     using hpcmixp::runtime::BFloat16;
     using hpcmixp::runtime::Half;
+    const double inf = std::numeric_limits<double>::infinity();
+    auto& reg = MetricRegistry::instance();
     for (int format = 0; format < 2; ++format) {
         std::vector<double> narrowed(v_.ref.size());
         for (std::size_t i = 0; i < v_.ref.size(); ++i) {
@@ -135,39 +140,36 @@ TEST_P(MetricProperty, FusedStatsMatchMetricsOnHalfDegradedOutput)
                               ? static_cast<float>(Half(f))
                               : static_cast<float>(BFloat16(f));
         }
-        ErrorStats stats = computeErrorStats(v_.ref, narrowed);
-        EXPECT_EQ(stats.n, v_.ref.size());
-        EXPECT_DOUBLE_EQ(
-            stats.mae(),
-            MeanAbsoluteError().compute(v_.ref, narrowed));
-        EXPECT_DOUBLE_EQ(
-            stats.mse(), MeanSquareError().compute(v_.ref, narrowed));
-        EXPECT_DOUBLE_EQ(
-            stats.rmse(),
-            RootMeanSquareError().compute(v_.ref, narrowed));
-        EXPECT_NEAR(stats.r2(),
-                    CoefficientOfDetermination().compute(v_.ref,
-                                                         narrowed),
-                    1e-9);
-        EXPECT_DOUBLE_EQ(
-            stats.mcr(),
-            MisclassificationRate().compute(v_.ref, narrowed));
+        for (const char* name : {"MAE", "MSE", "RMSE", "R2", "MCR"}) {
+            Verdict verdict =
+                OutputComparator(name, inf).verify(v_.ref, narrowed);
+            EXPECT_TRUE(verdict.passed) << name;
+            EXPECT_EQ(verdict.loss, reg.get(name).loss(v_.ref, narrowed))
+                << name;
+        }
         // A 16-bit rounding of values in [-10, 10] is small but not
         // free: the loss must be positive yet bounded by the format's
         // ulp at the largest magnitude (2^-8 for half, 2^-5 for bf16).
-        EXPECT_GT(stats.mae(), 0.0);
-        EXPECT_LT(stats.mae(), format == 0 ? 0x1p-8 : 0x1p-5);
+        double ulp = format == 0 ? 0x1p-8 : 0x1p-5;
+        Verdict mae = OutputComparator("MAE", ulp).verify(v_.ref, narrowed);
+        EXPECT_GT(mae.loss, 0.0);
+        EXPECT_LT(mae.loss, ulp);
+        EXPECT_TRUE(mae.passed);
+        EXPECT_FALSE(
+            OutputComparator("MAE", 0.0).verify(v_.ref, narrowed).passed);
     }
 }
 
 /**
  * Overflow-on-narrow poisoning: when a ladder rung overflows a value
- * to infinity (binary16 tops out at 65504), the fused stats must go
- * non-finite so the comparator can never accept the run.
+ * to infinity (binary16 tops out at 65504), or an output is NaN, the
+ * loss goes non-finite and the comparator never accepts the run, even
+ * at an infinite threshold.
  */
 TEST_P(MetricProperty, FusedStatsPropagateNarrowOverflowAndNan)
 {
     using hpcmixp::runtime::Half;
+    const double inf = std::numeric_limits<double>::infinity();
     std::vector<double> ref = v_.ref;
     ref[3] = 70000.0; // beyond binary16 range
     std::vector<double> narrowed(ref.size());
@@ -176,17 +178,21 @@ TEST_P(MetricProperty, FusedStatsPropagateNarrowOverflowAndNan)
             Half(static_cast<float>(ref[i])));
     ASSERT_TRUE(std::isinf(narrowed[3]));
 
-    ErrorStats overflow = computeErrorStats(ref, narrowed);
-    EXPECT_TRUE(std::isinf(overflow.mae()) ||
-                std::isnan(overflow.mae()));
-    EXPECT_FALSE(overflow.rmse() < 1.0); // NaN/Inf never compares below
-
     std::vector<double> poisoned = v_.test;
     poisoned[5] = std::numeric_limits<double>::quiet_NaN();
-    ErrorStats nan = computeErrorStats(v_.ref, poisoned);
-    EXPECT_TRUE(std::isnan(nan.mae()));
-    EXPECT_TRUE(std::isnan(nan.rmse()));
-    EXPECT_FALSE(nan.r2() >= 1.0 - 1e-12);
+    for (const char* name : {"MAE", "MSE", "RMSE", "R2"}) {
+        OutputComparator cmp(name, inf);
+        Verdict overflow = cmp.verify(ref, narrowed);
+        EXPECT_FALSE(std::isfinite(overflow.loss)) << name;
+        EXPECT_FALSE(overflow.passed) << name;
+        Verdict nan = cmp.verify(v_.ref, poisoned);
+        EXPECT_TRUE(std::isnan(nan.loss)) << name;
+        EXPECT_FALSE(nan.passed) << name;
+    }
+    // MCR counts a NaN label as misclassified: a finite, non-zero loss.
+    Verdict mcr = OutputComparator("MCR", 0.0).verify(v_.ref, poisoned);
+    EXPECT_GT(mcr.loss, 0.0);
+    EXPECT_FALSE(mcr.passed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty,

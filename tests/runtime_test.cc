@@ -241,8 +241,8 @@ TEST(HalfTest, SubnormalsRoundCorrectly)
 /**
  * Narrowing values beyond the 16-bit format's range must overflow to
  * infinity (never wrap or saturate silently), and NaN / Inf inputs
- * must stay NaN / Inf — the quality comparator depends on the fused
- * ErrorStats seeing those poisoned outputs.
+ * must stay NaN / Inf — the quality comparator depends on the metric
+ * loss seeing those poisoned outputs.
  */
 TEST(HalfTest, OverflowOnNarrowProducesInfinity)
 {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "support/logging.h"
+#include "support/rng.h"
 #include "verify/comparator.h"
 #include "verify/metrics.h"
 
@@ -123,12 +124,14 @@ TEST(MetricRegistryTest, UserMetricsCanBeAdded)
         compute(std::span<const double> reference,
                 std::span<const double> test) const override
         {
+            ++computeCalls;
             double worst = 0.0;
             for (std::size_t i = 0; i < reference.size(); ++i)
                 worst = std::max(worst,
                                  std::abs(reference[i] - test[i]));
             return worst;
         }
+        mutable int computeCalls = 0;
     };
     auto& reg = MetricRegistry::instance();
     if (!reg.has("MAXABS-test"))
@@ -136,6 +139,16 @@ TEST(MetricRegistryTest, UserMetricsCanBeAdded)
     std::vector<double> test{1.0, 2.0, 3.0, 5.5};
     EXPECT_DOUBLE_EQ(reg.get("MAXABS-test").compute(kRef, test), 1.5);
     EXPECT_THROW(reg.add(std::make_unique<MaxAbsError>()), FatalError);
+
+    // A comparator on a user metric reads the outputs once per verify.
+    const auto& registered =
+        dynamic_cast<const MaxAbsError&>(reg.get("maxabs-TEST"));
+    OutputComparator cmp("MAXABS-test", 2.0);
+    int before = registered.computeCalls;
+    Verdict verdict = cmp.verify(kRef, test);
+    EXPECT_EQ(registered.computeCalls - before, 1);
+    EXPECT_TRUE(verdict.passed);
+    EXPECT_DOUBLE_EQ(verdict.loss, 1.5);
 }
 
 TEST(Comparator, PassesAtOrBelowThreshold)
@@ -166,9 +179,38 @@ TEST(Comparator, R2UsesLossNotRawValue)
     EXPECT_FALSE(cmp.verify(kRef, meanOnly).passed);
 }
 
+/**
+ * A large common offset in the reference must not cancel R2's total
+ * sum of squares: the verdict is the two-pass metric's, bit for bit.
+ * (The sum-of-squares form sum(r^2) - sum(r) * mean drives ssTot
+ * negative here and would report R2 = 0.)
+ */
+TEST(Comparator, R2SurvivesLargeReferenceOffset)
+{
+    hpcmixp::support::Pcg32 rng(7);
+    std::vector<double> ref(1000);
+    std::vector<double> test(ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ref[i] = 1e8 + rng.uniform(0.0, 1.0);
+        test[i] = ref[i] + rng.uniform(-0.1, 0.1);
+    }
+    Verdict verdict = OutputComparator("R2", 0.1).verify(ref, test);
+    EXPECT_TRUE(verdict.passed) << verdict.loss;
+    // 1 - R2 = var(noise) / var(ref) = (0.2^2 / 12) / (1 / 12).
+    EXPECT_NEAR(verdict.loss, 0.04, 0.01);
+    EXPECT_EQ(verdict.loss, CoefficientOfDetermination().loss(ref, test));
+}
+
 TEST(Comparator, NegativeThresholdIsFatal)
 {
     EXPECT_THROW(OutputComparator("MAE", -1.0), FatalError);
+}
+
+TEST(Comparator, NaNThresholdIsFatal)
+{
+    EXPECT_THROW(
+        OutputComparator("MAE", std::numeric_limits<double>::quiet_NaN()),
+        FatalError);
 }
 
 } // namespace
