@@ -339,18 +339,60 @@ BenchmarkTuner::buildStructure()
 void
 BenchmarkTuner::runBaseline()
 {
-    // The baseline anchors every speedup ratio, so it is always
-    // measured with the full final-measurement protocol. The reference
-    // output comes from the first timed rep: every rep produces the
-    // same values, so no extra untimed run is needed.
+    // The baseline anchors every speedup ratio, so it is measured with
+    // the full final-measurement protocol, once per memo store. The
+    // first timed rep yields the reference output (every rep produces
+    // the same values, so no extra untimed run is needed), and the
+    // reference identifies the inputs the baseline table is keyed by.
+    // A stored runtime stands in for the remaining reps; without a
+    // store, or on a miss, they are timed here and the trimmed mean is
+    // published. The first publisher wins, so every tuner on one store
+    // divides by the same baseline.
+    const Config baseline(clusterCount());
+    benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(baseline));
+    const std::size_t reps = std::max<std::size_t>(
+        std::max(options_.searchReps, options_.finalReps), 1);
+    std::vector<double> samples;
     benchmarks::RunOutput output;
-    baselineSeconds_ =
-        timeReps(Config(clusterCount()),
-                 std::max(options_.searchReps, options_.finalReps), output);
+    timeExecutes(plan, false, 1, samples, &output);
     reference_ = std::move(output.values);
     if (reference_.empty())
         support::fatal(support::strCat("benchmark ", benchmark_.name(),
                                        " produced no output"));
+
+    std::shared_ptr<search::MemoTable> table;
+    if (options_.memoStore)
+        table = options_.memoStore->table(baselineFingerprint());
+    const std::string key = baseline.toString();
+    std::optional<Evaluation> stored =
+        table ? table->lookup(key) : std::nullopt;
+    const bool measured = !stored;
+    if (measured) {
+        timeExecutes(plan, false, reps - 1, samples, nullptr);
+        Evaluation eval;
+        eval.status = EvalStatus::Pass;
+        eval.runtimeSeconds = support::trimmedMean(std::move(samples));
+        eval.speedup = 1.0;
+        stored = eval;
+        if (table && !table->publish(key, eval))
+            stored = table->lookup(key);
+    }
+    baselineSeconds_ = stored->runtimeSeconds;
+    support::inform(support::strCat(
+        benchmark_.name(), ": f64 baseline ", baselineSeconds_ * 1e3,
+        " ms ",
+        measured ? support::strCat("measured over ", reps, " reps")
+                 : std::string("read from the memo store")));
+}
+
+std::uint64_t
+BenchmarkTuner::inputSignature() const
+{
+    std::call_once(inputSignatureOnce_, [this] {
+        inputSignature_ = support::fnv1a64(
+            reference_.data(), reference_.size() * sizeof(double));
+    });
+    return inputSignature_;
 }
 
 PrecisionMap
@@ -387,51 +429,53 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
 }
 
 /**
- * Prepare @p cfg and time @p reps executes of it (at least one);
- * returns their trimmed mean and leaves the first rep's output in
- * @p output.
- *
- * Prepare runs once per configuration: precision resolution and input
- * conversion happen here, outside the timed region. Each timed rep is
- * a pure execute against the per-thread workspace arena, and the
- * verification output is taken from the first timed rep instead of a
- * separate untimed run. The timed region includes the refinement
- * sweeps: recovery is only a win when the corrected run is still
- * faster than the baseline. A failing prepare or a diverging
- * refinement (RefineDiverged; never a hang, the iteration count is
- * bounded) throws.
+ * Time @p reps pure executes of @p plan, appending each rep's wall
+ * time to @p samples, and leave the last rep's output in @p output
+ * when it is non-null. Every rep yields the same values; keeping the
+ * last one lets each rep's output reuse the heap block its
+ * predecessor freed, where keeping the first made the second rep
+ * page-fault a fresh block inside its timed region. This is the
+ * tuner's one timed-rep loop (baseline, search evaluations and final
+ * measurement), so every rep frees its output outside the timed
+ * region. The timed region includes the refinement sweeps: recovery
+ * is only a win when the corrected run is still faster than the
+ * baseline. A diverging refinement (RefineDiverged; never a hang, the
+ * iteration count is bounded) throws.
  */
-double
-BenchmarkTuner::timeReps(const Config& cfg, std::size_t reps,
-                         benchmarks::RunOutput& output) const
+void
+BenchmarkTuner::timeExecutes(const benchmarks::RunPlan& plan, bool refined,
+                             std::size_t reps, std::vector<double>& samples,
+                             benchmarks::RunOutput* output) const
 {
-    const bool refined = useRefinement(cfg);
-    benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(cfg));
     runtime::RunWorkspace& ws = evalWorkspace();
-    const std::size_t timedReps = std::max<std::size_t>(reps, 1);
-    std::vector<double> samples;
-    samples.reserve(timedReps);
-    for (std::size_t i = 0; i < timedReps; ++i) {
+    for (std::size_t i = 0; i < reps; ++i) {
         support::WallTimer timer;
         benchmarks::RunOutput repOutput = executeForConfig(plan, ws, refined);
         samples.push_back(timer.seconds());
-        if (i == 0)
-            output = std::move(repOutput);
+        if (i + 1 == reps && output)
+            *output = std::move(repOutput);
     }
-    return support::trimmedMean(std::move(samples));
 }
 
 /**
- * One search evaluation's measurement: timeReps() plus verification of
- * the first rep against the reference. Runs in this process or inside
- * a sandbox worker, and throws as timeReps() does.
+ * One search evaluation's measurement: prepare @p cfg, time @p reps
+ * executes of it (at least one) and verify the last rep's output
+ * against the reference. Prepare runs once per configuration, so
+ * precision resolution and input conversion stay outside the timed
+ * region, and the verification output is a timed rep's, not a
+ * separate untimed run's. Runs in this process or inside a sandbox
+ * worker; a failing prepare throws, as timeExecutes() does.
  */
 BenchmarkTuner::SandboxPayload
 BenchmarkTuner::measure(const Config& cfg, std::size_t reps) const
 {
+    benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(cfg));
+    std::vector<double> samples;
     benchmarks::RunOutput output;
+    timeExecutes(plan, useRefinement(cfg), std::max<std::size_t>(reps, 1),
+                 samples, &output);
     SandboxPayload payload;
-    payload.runtimeSeconds = timeReps(cfg, reps, output);
+    payload.runtimeSeconds = support::trimmedMean(std::move(samples));
     verify::Verdict verdict =
         comparator_.verify(reference_, output.values);
     payload.passed = verdict.passed ? 1 : 0;
@@ -701,7 +745,8 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     allDouble.setOwner(benchmark_.name());
 
     // Both versions are prepared once and interleaved as pure executes;
-    // the verification output comes from the first timed tuned rep.
+    // the verification output comes from the last timed tuned rep
+    // (see timeExecutes() for why not the first).
     benchmarks::RunOutput output;
     std::size_t reps = std::max<std::size_t>(options_.finalReps, 1);
     std::vector<double> baseSamples;
@@ -710,19 +755,10 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     try {
         benchmarks::RunPlan cfgPlan = benchmark_.prepare(pm);
         benchmarks::RunPlan basePlan = benchmark_.prepare(allDouble);
-        runtime::RunWorkspace& ws = evalWorkspace();
-        baseSamples.reserve(reps);
-        cfgSamples.reserve(reps);
         for (std::size_t i = 0; i < reps; ++i) {
-            support::WallTimer timer;
-            (void)benchmark_.execute(basePlan, ws);
-            baseSamples.push_back(timer.seconds());
-            timer.reset();
-            benchmarks::RunOutput repOutput =
-                executeForConfig(cfgPlan, ws, refined);
-            cfgSamples.push_back(timer.seconds());
-            if (i == 0)
-                output = std::move(repOutput);
+            timeExecutes(basePlan, false, 1, baseSamples, nullptr);
+            timeExecutes(cfgPlan, refined, 1, cfgSamples,
+                         i + 1 == reps ? &output : nullptr);
         }
     } catch (const std::exception&) {
         eval.status = EvalStatus::RuntimeFail;
@@ -847,8 +883,7 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
     // The benchmark's inputs are seeded and deterministic, so the
     // reference output identifies them: any input change shows up in
     // the baseline values and retires every stale memo entry.
-    fp.inputSignature = support::fnv1a64(
-        reference_.data(), reference_.size() * sizeof(double));
+    fp.inputSignature = inputSignature();
     fp.metric = comparator_.metric().name();
     fp.threshold = comparator_.threshold();
     fp.sites = granularity == search::Granularity::Variable
@@ -862,6 +897,19 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
     fp.ladder = options_.ladder.describe();
     if (options_.refine)
         fp.ladder += "+ir";
+    return fp;
+}
+
+search::MemoFingerprint
+BenchmarkTuner::baselineFingerprint() const
+{
+    search::MemoFingerprint fp;
+    fp.benchmark = benchmark_.name();
+    fp.inputSignature = inputSignature();
+    fp.metric = "runtime";
+    fp.threshold = 0.0;
+    fp.sites = clusterCount();
+    fp.ladder = "f64";
     return fp;
 }
 

@@ -9,7 +9,7 @@
  *  1. runs the Typeforge analysis over the benchmark's program model
  *     to obtain the variable clusters,
  *  2. executes the all-double baseline to capture the reference output
- *     and baseline runtime,
+ *     and baseline runtime (the runtime is timed once per memo store),
  *  3. exposes the program as a cluster-level and a variable-level
  *     search::SearchProblem (CM/HR/HC search variables and pay compile
  *     failures for cluster-splitting choices; CB/DD/GA search
@@ -227,7 +227,8 @@ class BenchmarkTuner {
     /** Sites of the variable-level problem. */
     std::size_t variableCount() const { return variables_.size(); }
 
-    /** Baseline (all-double) mean runtime in seconds. */
+    /** Baseline (all-double) mean runtime in seconds: measured by
+     *  this tuner, or read from the memo store's baseline table. */
     double baselineSeconds() const { return baselineSeconds_; }
 
     /** Cluster-level search problem (CB, DD, GA). */
@@ -273,6 +274,15 @@ class BenchmarkTuner {
      */
     search::MemoFingerprint
     fingerprint(search::Granularity granularity) const;
+
+    /**
+     * The fingerprint of the memo store's baseline table: benchmark
+     * name and input signature, metric "runtime", threshold 0, ladder
+     * "f64" and one site per cluster. Its one record, keyed by the
+     * all-double configuration, holds the baseline runtime, so tuners
+     * that differ only in metric, threshold or ladder share it.
+     */
+    search::MemoFingerprint baselineFingerprint() const;
 
     /**
      * Search-run wiring for one granularity: resilience, parallelism,
@@ -342,7 +352,9 @@ class BenchmarkTuner {
     void setCertifiedCaps(bool on) { options_.certifiedCaps = on; }
 
     /** Swap the memo store between tune() calls, so one tuner (one
-     *  baseline) can A/B cold and warm campaigns. Null detaches. */
+     *  baseline) can A/B cold and warm campaigns. Null detaches. The
+     *  baseline was timed at construction, so a store attached here
+     *  neither supplies nor records it. */
     void setMemoStore(std::shared_ptr<search::MemoStore> store)
     {
         options_.memoStore = std::move(store);
@@ -365,6 +377,7 @@ class BenchmarkTuner {
 
     void buildStructure();
     void runBaseline();
+    std::uint64_t inputSignature() const;
     std::uint8_t varLevel(const search::Config& varCfg,
                           model::VarId var) const;
     bool useRefinement(const search::Config& cfg) const;
@@ -373,8 +386,9 @@ class BenchmarkTuner {
     benchmarks::RunOutput executeForConfig(
         const benchmarks::RunPlan& plan, runtime::RunWorkspace& ws,
         bool refined) const;
-    double timeReps(const search::Config& cfg, std::size_t reps,
-                    benchmarks::RunOutput& output) const;
+    void timeExecutes(const benchmarks::RunPlan& plan, bool refined,
+                      std::size_t reps, std::vector<double>& samples,
+                      benchmarks::RunOutput* output) const;
     SandboxPayload measure(const search::Config& cfg,
                            std::size_t reps) const;
     /** WorkerPool job handler; runs inside a sandbox worker child. */
@@ -391,6 +405,10 @@ class BenchmarkTuner {
     std::vector<model::VarId> variables_;
     verify::OutputComparator comparator_;
     std::vector<double> reference_;
+    /// Hash of reference_, computed on first use: a run without a memo
+    /// store never needs it, and it costs ~3 ms per 200k doubles.
+    mutable std::once_flag inputSignatureOnce_;
+    mutable std::uint64_t inputSignature_ = 0;
     double baselineSeconds_ = 0.0;
     search::StructureNode structure_;
     std::unique_ptr<ClusterProblem> clusterProblem_;

@@ -21,6 +21,26 @@ checkShapes(std::span<const double> reference, std::span<const double> test)
                      reference.size(), ", test ", test.size(), ")"));
 }
 
+/**
+ * The integer label std::llround() gives @p x (round half away from
+ * zero), as a double and without the libm call: std::trunc() is one
+ * instruction, and x - trunc(x) is exact. For every finite |x| < 2^63
+ * the label equals llround(x) exactly (from 2^52 up x is an integer
+ * already), so comparing labels compares llround() results. Beyond
+ * that llround() is unspecified: glibc maps +-inf, NaN and
+ * |x| >= 2^63 all to LLONG_MIN, so a +inf reference "matched" a -inf
+ * output. Here such values keep their own label: +inf and -inf
+ * differ, two different huge values differ, and NaN matches nothing.
+ */
+inline double
+labelOf(double x)
+{
+    double t = std::trunc(x);
+    double frac = x - t;
+    return t + static_cast<double>(frac >= 0.5) -
+           static_cast<double>(frac <= -0.5);
+}
+
 } // namespace
 
 double
@@ -93,12 +113,8 @@ MisclassificationRate::compute(std::span<const double> reference,
 {
     checkShapes(reference, test);
     std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        bool bad = std::isnan(test[i]) ||
-                   std::llround(reference[i]) != std::llround(test[i]);
-        if (bad)
-            ++mismatches;
-    }
+    for (std::size_t i = 0; i < reference.size(); ++i)
+        mismatches += labelOf(reference[i]) != labelOf(test[i]);
     return static_cast<double>(mismatches) /
            static_cast<double>(reference.size());
 }

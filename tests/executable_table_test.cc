@@ -5,15 +5,18 @@
  * bind key) share one timed, verified measurement, while EV, verdicts
  * and the harness report stay those of the configuration-level search.
  * Sharing relies on the execute determinism contract, which is checked
- * here over every benchmark of the suite.
+ * here over every benchmark of the suite. The baseline executable is
+ * shared one level up: its runtime is timed once per memo store.
  */
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "harness/harness.h"
 #include "runtime/workspace.h"
 #include "support/logging.h"
+#include "support/memo_log.h"
 #include "support/rng.h"
 #include "support/yaml.h"
 
@@ -405,6 +409,191 @@ TEST(ExecuteDeterminism, EqualHotProjectionsRunIdenticalExecutables)
     }
     // The contract is only exercised where cold clusters exist.
     EXPECT_GT(coldPairs, 0u);
+}
+
+// --- Baseline record -------------------------------------------------
+
+/**
+ * One-knob benchmark that counts its executes. Its output is
+ * @p value everywhere, so benchmarks built with different values have
+ * different inputs as far as the memo store can tell; with
+ * @p stampOrdinal the output is instead the execute's ordinal, which
+ * shows which execute produced the tuner's reference.
+ */
+class CountingBenchmark final : public benchmarks::Benchmark {
+  public:
+    explicit CountingBenchmark(double value = 1.0,
+                               bool stampOrdinal = false)
+        : model_("counting"), value_(value), stampOrdinal_(stampOrdinal)
+    {
+        using namespace model;
+        ModuleId m = model_.addModule("counting.c");
+        FunctionId f = model_.addFunction(m, "f");
+        model_.addVariable(f, "data", realPointer(), "data");
+    }
+
+    std::string name() const override { return "counting"; }
+    std::string description() const override
+    {
+        return "counts its executes";
+    }
+    bool isKernel() const override { return true; }
+    const model::ProgramModel& programModel() const override
+    {
+        return model_;
+    }
+
+    benchmarks::RunOutput
+    run(const benchmarks::PrecisionMap&) const override
+    {
+        int ordinal = ++executes;
+        benchmarks::RunOutput out;
+        out.values.assign(8, stampOrdinal_ ? ordinal : value_);
+        return out;
+    }
+
+    mutable std::atomic<int> executes{0};
+
+  private:
+    model::ProgramModel model_;
+    double value_;
+    bool stampOrdinal_;
+};
+
+/** Executes @p bench runs while constructing one tuner. */
+int
+baselineExecutes(const CountingBenchmark& bench, const TunerOptions& opt,
+                 double* baselineSeconds = nullptr)
+{
+    int before = bench.executes;
+    BenchmarkTuner tuner(bench, opt);
+    if (baselineSeconds)
+        *baselineSeconds = tuner.baselineSeconds();
+    return bench.executes - before;
+}
+
+TunerOptions
+storeOptions(const std::string& dir)
+{
+    TunerOptions opt; // default reps: the baseline times ten
+    opt.memoStore = std::make_shared<search::MemoStore>(dir);
+    return opt;
+}
+
+std::string
+freshDir(const char* name)
+{
+    std::string dir = ::testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+TEST(BaselineRecord, WithoutAStoreEveryTunerTimesTenReps)
+{
+    CountingBenchmark bench(0.0, true);
+    TunerOptions opt;
+    BenchmarkTuner first(bench, opt);
+    EXPECT_EQ(bench.executes, 10);
+    // The reference is the first timed rep's output.
+    std::vector<double> firstOutput(8, 1.0);
+    EXPECT_EQ(first.fingerprint(search::Granularity::Cluster).inputSignature,
+              support::fnv1a64(firstOutput.data(),
+                               firstOutput.size() * sizeof(double)));
+    EXPECT_EQ(baselineExecutes(bench, opt), 10);
+}
+
+TEST(BaselineRecord, SecondTunerOnTheStoreTimesOneRep)
+{
+    std::string dir = freshDir("baseline_second");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    double first = 0.0;
+    double second = 0.0;
+    EXPECT_EQ(baselineExecutes(bench, opt, &first), 10);
+    EXPECT_EQ(baselineExecutes(bench, opt, &second), 1);
+    EXPECT_EQ(second, first);
+
+    // The record is the baseline table's only entry, and reading it is
+    // no search memo hit.
+    BenchmarkTuner tuner(bench, opt);
+    auto table = opt.memoStore->table(tuner.baselineFingerprint());
+    ASSERT_EQ(table->size(), 1u);
+    auto stored = table->lookup(Config(tuner.clusterCount()).toString());
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(stored->runtimeSeconds, first);
+    core::TuneOutcome outcome = tuner.tune("CB");
+    EXPECT_EQ(outcome.search.memoHits, 0u);
+    EXPECT_EQ(outcome.search.evaluated, 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BaselineRecord, NewStoreOnTheSameDirectoryHits)
+{
+    std::string dir = freshDir("baseline_reopen");
+    CountingBenchmark bench;
+    double first = 0.0;
+    double reopened = 0.0;
+    EXPECT_EQ(baselineExecutes(bench, storeOptions(dir), &first), 10);
+    EXPECT_EQ(baselineExecutes(bench, storeOptions(dir), &reopened), 1);
+    EXPECT_EQ(reopened, first);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BaselineRecord, ThresholdMetricAndLadderShareOneRecordInputDoesNot)
+{
+    std::string dir = freshDir("baseline_share");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    double first = 0.0;
+    EXPECT_EQ(baselineExecutes(bench, opt, &first), 10);
+
+    TunerOptions threshold = opt;
+    threshold.threshold = 1e-3;
+    TunerOptions metric = opt;
+    metric.metric = "MSE";
+    TunerOptions ladder = opt;
+    ladder.ladder = runtime::PrecisionLadder::parse("double,float,half");
+    for (const TunerOptions* other : {&threshold, &metric, &ladder}) {
+        double seconds = 0.0;
+        EXPECT_EQ(baselineExecutes(bench, *other, &seconds), 1);
+        EXPECT_EQ(seconds, first);
+    }
+
+    CountingBenchmark changed(2.0);
+    EXPECT_EQ(baselineExecutes(changed, opt), 10);
+    BenchmarkTuner a(bench, opt);
+    BenchmarkTuner b(changed, opt);
+    EXPECT_NE(a.baselineFingerprint().inputSignature,
+              b.baselineFingerprint().inputSignature);
+    EXPECT_EQ(opt.memoStore->table(a.baselineFingerprint())->size(), 1u);
+    EXPECT_EQ(opt.memoStore->table(b.baselineFingerprint())->size(), 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(BaselineRecord, ConcurrentTunersEndWithOneValue)
+{
+    std::string dir = freshDir("baseline_concurrent");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    std::vector<double> seconds(4, 0.0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seconds.size(); ++i)
+        threads.emplace_back([&, i] {
+            BenchmarkTuner tuner(bench, opt);
+            seconds[i] = tuner.baselineSeconds();
+        });
+    for (std::thread& t : threads)
+        t.join();
+    for (double s : seconds)
+        EXPECT_EQ(s, seconds.front());
+    EXPECT_GE(bench.executes, 10 + 3);
+    EXPECT_LE(bench.executes, 40);
+
+    BenchmarkTuner tuner(bench, opt);
+    auto table = opt.memoStore->table(tuner.baselineFingerprint());
+    EXPECT_EQ(table->size(), 1u);
+    EXPECT_EQ(tuner.baselineSeconds(), seconds.front());
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -89,6 +89,51 @@ TEST(Metrics, McrTreatsNaNAsMisclassified)
     EXPECT_DOUBLE_EQ(mcr.compute(ref, test), 0.5);
 }
 
+/** MCR of one label pair as the llround() formulation decided it. */
+double
+llroundMcr(double reference, double test)
+{
+    return std::isnan(test) || std::llround(reference) != std::llround(test)
+               ? 1.0
+               : 0.0;
+}
+
+TEST(Metrics, McrMatchesLlroundLabels)
+{
+    MisclassificationRate mcr;
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> values{0.0,  -0.0, 0.5,  -0.5, 1.5, -1.5, 2.5,
+                               -2.5, 0.49999999999999994,
+                               -0.49999999999999994, 0x1p51 + 0.5,
+                               -(0x1p51 + 0.5), 0x1p51 + 1.0, 0x1p52 + 1.0,
+                               1.0,  2.0,  3.0,  -1.0, -3.0};
+    hpcmixp::support::Pcg32 rng(17);
+    for (int i = 0; i < 200; ++i) {
+        double label = std::floor(rng.uniform(-8.0, 8.0));
+        values.push_back(label);
+        values.push_back(label + rng.uniform(-0.6, 0.6));
+        values.push_back(label + 0.5);
+    }
+    for (double a : values)
+        for (double b : values)
+            ASSERT_EQ(mcr.compute({&a, 1}, {&b, 1}), llroundMcr(a, b))
+                << a << " vs " << b;
+
+    // A NaN output is still a mismatch; equal infinities still match.
+    const double nan = std::nan("");
+    for (double a : {0.0, 1.5, -2.5, inf, -inf})
+        EXPECT_EQ(mcr.compute({&a, 1}, {&nan, 1}), 1.0) << a;
+    for (double a : {inf, -inf})
+        EXPECT_EQ(mcr.compute({&a, 1}, {&a, 1}), llroundMcr(a, a)) << a;
+
+    // Where llround() is unspecified, labels compare as values: glibc
+    // gives +inf and -inf (and every |x| >= 2^63) the same llround().
+    const double huge = 0x1p70;
+    std::vector<double> ref{inf, huge, nan};
+    std::vector<double> test{-inf, 2.0 * huge, nan};
+    EXPECT_EQ(mcr.compute(ref, test), 1.0);
+}
+
 TEST(Metrics, NaNInTestPropagatesIntoContinuousMetrics)
 {
     MeanAbsoluteError mae;
