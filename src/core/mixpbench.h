@@ -22,8 +22,6 @@
 
 #include "benchmarks/benchmark.h"
 #include "benchmarks/registry.h"
-#include "core/interchange.h"
-#include "core/suite.h"
 #include "core/tuner.h"
 #include "model/program_model.h"
 #include "runtime/buffer.h"

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "runtime/workspace.h"
 #include "search/genetic.h"
@@ -198,12 +199,29 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
     // Sandbox configuration sanity, checked before any evaluation
     // runs: raw fault injection is only survivable in forked children
     // (FaultyProblem re-checks via the sandboxed flag), and a raw hang
-    // spins forever unless a deadline arms the parent's SIGKILL.
+    // spins forever unless a deadline arms the parent's SIGKILL. The
+    // comparisons are written so that NaN fails them: a NaN deadline
+    // never arms the kill, and a NaN rate silently disables injection.
     options_.faultPlan.sandboxed =
         options_.isolation == support::IsolationMode::Fork ||
         options_.isolation == support::IsolationMode::Pool;
-    if (options_.faultPlan.rawHangRate > 0.0 &&
-        options_.resilience.deadlineSeconds <= 0.0)
+    const double deadline = options_.resilience.deadlineSeconds;
+    if (!(deadline >= 0.0))
+        support::fatal(support::strCat(
+            "--deadline must be a non-negative number of seconds, got ",
+            deadline));
+    const search::FaultPlan& plan = options_.faultPlan;
+    for (auto [rate, flag] :
+         {std::pair{plan.crashRate, "--fault-rate"},
+          std::pair{plan.hangRate, "--fault-hang-rate"},
+          std::pair{plan.nanRate, "--fault-nan-rate"},
+          std::pair{plan.rawCrashRate, "--fault-raw-crash-rate"},
+          std::pair{plan.rawHangRate, "--fault-raw-hang-rate"},
+          std::pair{plan.rawSegvRate, "--fault-raw-segv-rate"}})
+        if (!(rate >= 0.0 && rate <= 1.0))
+            support::fatal(support::strCat(
+                flag, " must be a probability in [0, 1], got ", rate));
+    if (plan.rawHangRate > 0.0 && !(deadline > 0.0))
         support::fatal(
             "raw hang injection (--fault-raw-hang-rate) spins until "
             "the parent kills it; it requires a positive --deadline");

@@ -32,7 +32,6 @@
 #include "search/memo_store.h"
 #include "search/portfolio.h"
 #include "search/problem.h"
-#include "support/subprocess.h"
 #include "support/worker_pool.h"
 #include "typeforge/clustering.h"
 #include "verify/comparator.h"

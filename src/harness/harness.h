@@ -99,7 +99,8 @@ std::vector<JobResult> runJobs(const std::vector<JobSpec>& jobs,
 void printResults(std::ostream& os,
                   const std::vector<JobResult>& results);
 
-/** Render results in the JSON interchange format (one entry per job). */
+/** Render results in the JSON interchange format (one entry per job);
+ *  the job journal stores these same entries. */
 support::json::Value resultsToJson(const std::vector<JobResult>& results);
 
 } // namespace hpcmixp::harness

@@ -6,6 +6,10 @@
  *                     [--search-jobs N] [--reps R]
  *                     [--budget E] [--seed S] [--retries N]
  *                     [--deadline S] [--fault-rate P]
+ *                     [--fault-hang-rate P] [--fault-nan-rate P]
+ *                     [--fault-seed S] [--fault-raw-crash-rate P]
+ *                     [--fault-raw-hang-rate P]
+ *                     [--fault-raw-segv-rate P]
  *                     [--isolation none|fork|pool]
  *                     [--isolation-max-crashes N] [--pool-workers N]
  *                     [--memo-cache DIR] [--resume DIR] [--portfolio]
@@ -13,6 +17,7 @@
  *                     [--static-prior on|off|strict]
  *                     [--certified-caps on|off]
  *                     [--ladder SPEC] [--refine on|off] [--verbose]
+ *                     [--json FILE]
  *
  * Reads a Listing-4-style YAML configuration, runs every declared
  * analysis job, and prints a result table. The resilience flags
@@ -112,7 +117,9 @@ main(int argc, char** argv)
                "  --refine      iterative-refinement recovery for"
                " benchmarks with a residual hook: on or off"
                " (default off)\n"
-               "  --json        write a JSON report to this file\n";
+               "  --json        write a JSON report to this file\n"
+               "  --verbose     log progress (per-job baseline source,"
+               " restored jobs, ...) to stderr\n";
         return cl.has("help") ? 0 : 2;
     }
 

@@ -8,9 +8,9 @@
  * A SearchContext counts into one SearchCounters value as results
  * commit. The value then travels whole — SearchResult, the summed
  * PortfolioOutcome::total, the harness's AnalysisResult — to the
- * harness table, its --json report, its job journal and the
- * interchange JSON, all of which take a counter's report name from
- * kCounterFields (DESIGN.md, Section 8).
+ * harness table, its --json report and its job journal, all of which
+ * take a counter's report name from kCounterFields (DESIGN.md,
+ * Section 8).
  */
 
 #include <cstddef>
@@ -40,7 +40,7 @@ struct SearchCounters {
 /** The report names of one counter. */
 struct CounterField {
     std::size_t SearchCounters::*member;
-    const char* key;    ///< JSON key: --json, job journal, interchange
+    const char* key;    ///< JSON key: --json and the job journal
     const char* column; ///< harness table header; nullptr = not shown
 };
 

@@ -6,9 +6,9 @@
  * Minimal JSON value, parser and writer.
  *
  * FloatSmith integrates its constituent tools through a JSON-based
- * interchange format (paper Section I); the suite's `core/interchange`
- * uses this module to export tuning reports and import externally
- * produced configurations. Supports the full JSON grammar except
+ * interchange format (paper Section I); here that format is the
+ * harness's --json report, written and read back (by the job journal)
+ * through this module. Supports the full JSON grammar except
  * surrogate-pair escapes.
  */
 

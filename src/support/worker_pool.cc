@@ -1,5 +1,6 @@
 #include "support/worker_pool.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -8,6 +9,7 @@
 
 #include <poll.h>
 #include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,6 +27,12 @@ constexpr std::uint32_t kOpStop = 2;
 
 /** Grace period a stopping worker gets before SIGKILL. */
 constexpr double kStopGraceSeconds = 2.0;
+
+/** Longest single poll() slice while a deadline is armed; run()
+ *  re-checks the deadline between slices, so a far (or infinite)
+ *  deadline only costs a wakeup per slice. Keeps the milliseconds
+ *  well inside int. */
+constexpr double kMaxPollSliceSeconds = 3600.0;
 
 void
 writeDoorbell(int fd)
@@ -70,6 +78,52 @@ closeFd(int& fd)
 }
 
 } // namespace
+
+IsolationMode
+parseIsolationMode(const std::string& text)
+{
+    if (text == "none") return IsolationMode::None;
+    if (text == "fork") return IsolationMode::Fork;
+    if (text == "pool") return IsolationMode::Pool;
+    fatal(strCat("unknown isolation mode '", text,
+                 "' (expected none, fork or pool)"));
+}
+
+const char*
+isolationModeName(IsolationMode mode)
+{
+    switch (mode) {
+      case IsolationMode::None: return "none";
+      case IsolationMode::Fork: return "fork";
+      case IsolationMode::Pool: return "pool";
+    }
+    panic("unreachable isolation mode");
+}
+
+const char*
+childExitName(ChildExit exit)
+{
+    switch (exit) {
+      case ChildExit::Clean: return "clean";
+      case ChildExit::NonZeroExit: return "nonzero_exit";
+      case ChildExit::Signaled: return "signaled";
+      case ChildExit::KilledOnDeadline: return "killed_on_deadline";
+      case ChildExit::SpawnFailed: return "spawn_failed";
+    }
+    panic("unreachable child exit class");
+}
+
+int
+pidfdOpen(pid_t pid)
+{
+#ifdef SYS_pidfd_open
+    return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0u));
+#else
+    (void)pid;
+    errno = ENOSYS;
+    return -1;
+#endif
+}
 
 /**
  * One worker slot. The arenas and parent-side eventfds are created
@@ -327,7 +381,8 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
                 killed = true;
                 continue; // now wait for the corpse
             }
-            timeoutMs = static_cast<int>(std::ceil(remaining * 1e3));
+            timeoutMs = static_cast<int>(std::ceil(
+                std::min(remaining, kMaxPollSliceSeconds) * 1e3));
         }
         if (nfds == 1) {
             // No pidfd on this kernel: a worker death cannot wake the

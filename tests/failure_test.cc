@@ -275,6 +275,35 @@ TEST(FaultDeterminism, DrawsAreDeterministicPerSeed)
     EXPECT_GT(differs, 0);
 }
 
+TEST(Resilience, OutOfRangeRatesAndDeadlinesAreRejected)
+{
+    // A NaN or negative rate would silently switch injection off
+    // (FaultPlan::enabled() is false), and above 1 is no probability;
+    // a NaN deadline never arms the sandbox kill.
+    HostileBenchmark bench(HostileBenchmark::Failure::None);
+    for (double bad : {std::nan(""), -0.5, 1.5}) {
+        for (double FaultPlan::*rate :
+             {&FaultPlan::crashRate, &FaultPlan::hangRate,
+              &FaultPlan::nanRate}) {
+            core::TunerOptions opt = fastOptions();
+            opt.faultPlan.*rate = bad;
+            EXPECT_THROW(core::BenchmarkTuner(bench, opt),
+                         support::FatalError)
+                << "rate " << bad;
+        }
+    }
+    for (double bad : {std::nan(""), -1.0}) {
+        core::TunerOptions opt = fastOptions();
+        opt.resilience.deadlineSeconds = bad;
+        EXPECT_THROW(core::BenchmarkTuner(bench, opt),
+                     support::FatalError)
+            << "deadline " << bad;
+    }
+    core::TunerOptions edge = fastOptions();
+    edge.faultPlan.crashRate = 1.0;
+    EXPECT_NO_THROW(core::BenchmarkTuner(bench, edge));
+}
+
 TEST(Resilience, TransientCrashIsRetriedToSuccess)
 {
     ScriptedProblem inner;

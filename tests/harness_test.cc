@@ -4,6 +4,7 @@
  * Listing-4 schema, the analysis plugin registry, and job execution.
  */
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -161,21 +162,46 @@ TEST(HarnessRun, ExecutesJobsAndPrintsResults)
 
 TEST(HarnessRun, ParallelJobsProduceSameStructure)
 {
-    auto jobs = parseConfig(support::yaml::parse(
+    const char* kSinglePrecision =
         "tridiag:\n  threshold: 1e-3\n  analysis:\n    a:\n"
         "      name: 'singleprecision'\n"
         "iccg:\n  threshold: 1e-3\n  analysis:\n    b:\n"
-        "      name: 'singleprecision'\n"));
-    HarnessOptions options;
-    options.tuner.searchReps = 1;
-    options.tuner.finalReps = 3;
-    options.jobs = 2;
-    auto results = runJobs(jobs, options);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].spec.benchmark, "tridiag");
-    EXPECT_EQ(results[1].spec.benchmark, "iccg");
-    for (const auto& r : results)
-        EXPECT_TRUE(r.error.empty()) << r.error;
+        "      name: 'singleprecision'\n";
+    const char* kGenetic =
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    a:\n"
+        "      name: 'floatsmith'\n      extra_args:\n"
+        "        algorithm: 'genetic'\n"
+        "iccg:\n  threshold: 1e-3\n  analysis:\n    b:\n"
+        "      name: 'floatsmith'\n      extra_args:\n"
+        "        algorithm: 'genetic'\n";
+    for (const char* config : {kSinglePrecision, kGenetic}) {
+        auto jobs = parseConfig(support::yaml::parse(config));
+        HarnessOptions serial;
+        serial.tuner.searchReps = 1;
+        serial.tuner.finalReps = 3;
+        serial.tuner.budget = {150, 0.0};
+        HarnessOptions parallel = serial;
+        parallel.jobs = 2;
+        auto a = runJobs(jobs, serial);
+        auto b = runJobs(jobs, parallel);
+        ASSERT_EQ(a.size(), 2u);
+        ASSERT_EQ(b.size(), 2u);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].spec.benchmark, jobs[i].benchmark);
+            EXPECT_EQ(b[i].spec.benchmark, jobs[i].benchmark);
+            EXPECT_TRUE(a[i].error.empty()) << a[i].error;
+            EXPECT_TRUE(b[i].error.empty()) << b[i].error;
+            // Timing differs under contention, so the winners may
+            // differ; both schedules must produce structurally valid
+            // outcomes over the same clusters.
+            EXPECT_EQ(a[i].result.configuration.size(),
+                      b[i].result.configuration.size());
+            if (config == kGenetic) {
+                EXPECT_LE(a[i].result.qualityLoss, 1e-3);
+                EXPECT_LE(b[i].result.qualityLoss, 1e-3);
+            }
+        }
+    }
 }
 
 
@@ -283,6 +309,53 @@ journals(const std::string& dir)
         if (entry.path().filename().string().rfind("jobs-", 0) == 0)
             found.push_back(entry.path());
     return found;
+}
+
+/** Analysis whose every result has a NaN quality loss. */
+class NanQualityAnalysis : public Analysis {
+  public:
+    std::string name() const override { return "nanquality"; }
+    AnalysisResult
+    analyze(const benchmarks::Benchmark&, const core::TunerOptions&,
+            const ExtraArgs&) override
+    {
+        AnalysisResult r;
+        r.analysis = name();
+        r.detail = "nan";
+        r.qualityLoss = std::nan("");
+        return r;
+    }
+};
+
+TEST(HarnessRun, NaNQualityLossIsNullInJsonAndNaNInTheJournal)
+{
+    if (!AnalysisRegistry::instance().has("nanquality"))
+        AnalysisRegistry::instance().add("nanquality", [] {
+            return std::make_unique<NanQualityAnalysis>();
+        });
+    auto jobs = parseConfig(support::yaml::parse(
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    n:\n"
+        "      name: 'nanquality'\n"));
+    HarnessOptions options;
+    options.memoCacheDir = scratchDir("hpcmixp_nan_quality_memo");
+    auto results = runJobs(jobs, options);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].error.empty()) << results[0].error;
+
+    // JSON has no NaN: --json writes null.
+    auto reparsed =
+        support::json::parse(resultsToJson(results).dump(2));
+    EXPECT_TRUE(reparsed.items()[0].at("quality_loss").isNull());
+
+    // The journal stores that same entry; reading it back restores
+    // the NaN.
+    HarnessOptions resume = options;
+    resume.resume = true;
+    auto restored = runJobs(jobs, resume);
+    ASSERT_EQ(restored.size(), 1u);
+    EXPECT_TRUE(restored[0].restored);
+    EXPECT_TRUE(std::isnan(restored[0].result.qualityLoss));
+    std::filesystem::remove_all(options.memoCacheDir);
 }
 
 TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)

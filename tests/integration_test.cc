@@ -1,7 +1,8 @@
 /**
  * @file
  * End-to-end integration tests: full searches over real benchmarks
- * through the public API, and suite-level batch execution.
+ * through the public API. Multi-job campaigns run through the
+ * harness (harness_test).
  */
 
 #include <cmath>
@@ -13,8 +14,6 @@
 namespace {
 
 using namespace hpcmixp;
-using core::SuiteJob;
-using core::SuiteOptions;
 
 core::TunerOptions
 fastOptions(double threshold)
@@ -81,52 +80,6 @@ TEST(Integration, KmeansPassesStrictThresholdViaMcr)
     EXPECT_EQ(outcome.clusterConfig.count(),
               outcome.clusterConfig.size());
     EXPECT_EQ(outcome.finalQualityLoss, 0.0);
-}
-
-TEST(Integration, SuiteRunnerExecutesJobsInOrder)
-{
-    std::vector<SuiteJob> jobs{
-        {"tridiag", "DD", 1e-3},
-        {"tridiag", "GA", 1e-3},
-        {"iccg", "CB", 1e-3},
-    };
-    SuiteOptions options;
-    options.tuner = fastOptions(1e-3);
-    auto rows = core::runSuite(jobs, options);
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].job.strategy, "DD");
-    EXPECT_EQ(rows[2].job.benchmark, "iccg");
-    for (const auto& row : rows) {
-        EXPECT_GT(row.totalVariables, 0u);
-        EXPECT_GT(row.totalClusters, 0u);
-        EXPECT_TRUE(std::isfinite(row.outcome.finalSpeedup));
-    }
-}
-
-TEST(Integration, SuiteRunnerParallelMatchesSerialStructure)
-{
-    std::vector<SuiteJob> jobs{
-        {"tridiag", "GA", 1e-3},
-        {"iccg", "GA", 1e-3},
-    };
-    SuiteOptions serial;
-    serial.tuner = fastOptions(1e-3);
-    SuiteOptions parallel = serial;
-    parallel.parallelJobs = 2;
-
-    auto a = core::runSuite(jobs, serial);
-    auto b = core::runSuite(jobs, parallel);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].totalClusters, b[i].totalClusters);
-        EXPECT_EQ(a[i].totalVariables, b[i].totalVariables);
-        // Timing differs under contention, but both schedules must
-        // produce structurally valid outcomes.
-        EXPECT_EQ(a[i].outcome.clusterConfig.size(),
-                  b[i].outcome.clusterConfig.size());
-        EXPECT_LE(a[i].outcome.finalQualityLoss, 1e-3);
-        EXPECT_LE(b[i].outcome.finalQualityLoss, 1e-3);
-    }
 }
 
 TEST(Integration, BudgetTruncationIsReported)

@@ -1,20 +1,19 @@
 /**
  * @file
- * Tests for the JSON module and the FloatSmith-style interchange
- * format built on it.
+ * Tests for the JSON module. The report format built on it (the
+ * harness's --json entries and job-journal records) is tested in
+ * harness_test.
  */
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "core/interchange.h"
 #include "support/json.h"
 #include "support/logging.h"
 
 namespace {
 
-using namespace hpcmixp;
 using namespace hpcmixp::support::json;
 using hpcmixp::support::FatalError;
 
@@ -115,80 +114,6 @@ TEST(Json, ParseEmptyContainers)
     EXPECT_TRUE(parse("{}").isObject());
     EXPECT_TRUE(parse("[]").isArray());
     EXPECT_EQ(parse("[]").items().size(), 0u);
-}
-
-// ---- interchange -----------------------------------------------------------
-
-TEST(Interchange, ConfigRoundTrip)
-{
-    search::Config config = search::Config::withLowered(6, {1, 4});
-    Value v = core::configToJson(config);
-    EXPECT_EQ(v.at("sites").asLong(), 6);
-    search::Config back = core::configFromJson(v, 6);
-    EXPECT_EQ(back, config);
-}
-
-TEST(Interchange, ConfigFromJsonValidates)
-{
-    Value v = core::configToJson(search::Config(4));
-    EXPECT_THROW(core::configFromJson(v, 5), FatalError);
-
-    Value bad = Value::object();
-    bad.set("sites", Value::number(2));
-    Value lowered = Value::array();
-    lowered.push(Value::number(7));
-    bad.set("lowered", lowered);
-    EXPECT_THROW(core::configFromJson(bad, 2), FatalError);
-
-    EXPECT_THROW(core::configFromJson(Value::array(), 2), FatalError);
-}
-
-TEST(Interchange, ClusteringExportContainsMembersAndBindKeys)
-{
-    model::ProgramModel m("demo");
-    auto mod = m.addModule("demo.c");
-    auto f = m.addFunction(mod, "f");
-    auto a = m.addVariable(f, "a", model::realPointer(), "knobA");
-    auto b = m.addParameter(f, "b", model::realPointer());
-    m.addCallBind(a, b);
-    m.addVariable(f, "s", model::realScalar());
-
-    auto clusters = typeforge::analyze(m);
-    Value v = core::clusteringToJson(m, clusters);
-    EXPECT_EQ(v.at("program").asString(), "demo");
-    EXPECT_EQ(v.at("total_variables").asLong(), 3);
-    EXPECT_EQ(v.at("total_clusters").asLong(), 2);
-    const auto& first = v.at("clusters").items()[0];
-    EXPECT_EQ(first.at("members").items().size(), 2u);
-    EXPECT_EQ(first.at("bind_keys").items()[0].asString(), "knobA");
-}
-
-TEST(Interchange, OutcomeExportIsParseable)
-{
-    core::TuneOutcome outcome;
-    outcome.search.strategyCode = "DD";
-    outcome.search.evaluated = 12;
-    outcome.search.foundImprovement = true;
-    outcome.clusterConfig = search::Config::withLowered(3, {0, 2});
-    outcome.finalSpeedup = 1.5;
-    outcome.finalQualityLoss = 1e-9;
-
-    Value v = core::outcomeToJson("hotspot", "DD", 1e-6, outcome);
-    Value reparsed = parse(v.dump(2));
-    EXPECT_EQ(reparsed.at("benchmark").asString(), "hotspot");
-    EXPECT_EQ(reparsed.at("evaluated_configurations").asLong(), 12);
-    EXPECT_DOUBLE_EQ(reparsed.at("speedup").asNumber(), 1.5);
-    auto config = core::configFromJson(reparsed.at("configuration"), 3);
-    EXPECT_EQ(config, outcome.clusterConfig);
-}
-
-TEST(Interchange, NaNQualitySerializesAsNull)
-{
-    core::TuneOutcome outcome;
-    outcome.finalQualityLoss = std::nan("");
-    Value v = core::outcomeToJson("srad", "GA", 1e-3, outcome);
-    Value reparsed = parse(v.dump());
-    EXPECT_TRUE(reparsed.at("quality_loss").isNull());
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -666,6 +667,23 @@ TEST(WorkerPoolTest, SpinningHandlerIsKilledOnDeadline)
     EXPECT_EQ(pool.stats().respawns, 1u);
 }
 
+TEST(WorkerPoolTest, FarDeadlineServesAQuickJobCleanly)
+{
+    // Deadlines past INT_MAX milliseconds (and +inf) must not overflow
+    // the poll timeout: the quick job completes as if none were set.
+    support::WorkerPool pool(1, sizeof(int), sizeof(int),
+                             hostileHandler());
+    for (double deadline :
+         {std::numeric_limits<double>::infinity(), 1e10}) {
+        int result = 0;
+        support::PoolOutcome out = runInt(pool, 5, result, deadline);
+        EXPECT_EQ(out.exit, ChildExit::Clean) << deadline;
+        ASSERT_TRUE(out.resultValid) << deadline;
+        EXPECT_EQ(result, 10);
+    }
+    EXPECT_EQ(pool.stats().respawns, 0u);
+}
+
 TEST(WorkerPoolTest, SigkilledIdleWorkerIsDetectedOnNextDispatch)
 {
     support::WorkerPool pool(1, sizeof(int), sizeof(int),
@@ -1004,12 +1022,17 @@ TEST(RawFaults, RejectedWithoutSandboxAsRecoverableError)
 
 TEST(RawFaults, RawHangWithoutDeadlineIsRejected)
 {
-    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
-    core::TunerOptions opt = sandboxOptions();
-    opt.faultPlan.rawHangRate = 0.5;
-    opt.resilience.deadlineSeconds = 0.0;
-    EXPECT_THROW(core::BenchmarkTuner(bench, opt),
-                 support::FatalError);
+    // A NaN deadline never arms the parent's kill, so it is no
+    // deadline at all: the spinning child would hang the campaign.
+    for (double deadline : {0.0, std::nan(""), -1.0}) {
+        RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
+        core::TunerOptions opt = sandboxOptions();
+        opt.faultPlan.rawHangRate = 0.5;
+        opt.resilience.deadlineSeconds = deadline;
+        EXPECT_THROW(core::BenchmarkTuner(bench, opt),
+                     support::FatalError)
+            << "deadline " << deadline;
+    }
 }
 
 TEST(RawFaults, InjectedCrashesAreContainedDeterministically)
