@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end integration tests: full searches over real benchmarks
- * through the public API. Multi-job campaigns run through the
- * harness (harness_test).
+ * through the public API, and suite-level batch execution through
+ * the harness job runner.
  */
 
 #include <cmath>
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "core/mixpbench.h"
+#include "harness/harness.h"
+#include "support/yaml.h"
 
 namespace {
 
@@ -80,6 +82,39 @@ TEST(Integration, KmeansPassesStrictThresholdViaMcr)
     EXPECT_EQ(outcome.clusterConfig.count(),
               outcome.clusterConfig.size());
     EXPECT_EQ(outcome.finalQualityLoss, 0.0);
+}
+
+TEST(Integration, SuiteRunnerParallelMatchesSerialStructure)
+{
+    auto jobs = harness::parseConfig(support::yaml::parse(
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    a:\n"
+        "      name: 'floatsmith'\n      extra_args:\n"
+        "        algorithm: 'genetic'\n"
+        "iccg:\n  threshold: 1e-3\n  analysis:\n    b:\n"
+        "      name: 'floatsmith'\n      extra_args:\n"
+        "        algorithm: 'genetic'\n"));
+    harness::HarnessOptions serial;
+    serial.tuner = fastOptions(1e-3);
+    harness::HarnessOptions parallel = serial;
+    parallel.jobs = 2;
+
+    auto a = harness::runJobs(jobs, serial);
+    auto b = harness::runJobs(jobs, parallel);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), 2u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].spec.benchmark, jobs[i].benchmark);
+        EXPECT_EQ(b[i].spec.benchmark, jobs[i].benchmark);
+        EXPECT_TRUE(a[i].error.empty()) << a[i].error;
+        EXPECT_TRUE(b[i].error.empty()) << b[i].error;
+        // Timing differs under contention, so the winners may differ;
+        // both schedules must produce structurally valid outcomes over
+        // the same clusters.
+        EXPECT_EQ(a[i].result.configuration.size(),
+                  b[i].result.configuration.size());
+        EXPECT_LE(a[i].result.qualityLoss, 1e-3);
+        EXPECT_LE(b[i].result.qualityLoss, 1e-3);
+    }
 }
 
 TEST(Integration, BudgetTruncationIsReported)
