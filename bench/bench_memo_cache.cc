@@ -113,6 +113,8 @@ main(int argc, char** argv)
         // Solo cold/warm pairs, one private store per strategy so no
         // strategy inherits another's published evaluations.
         double slowestSingle = 0.0;
+        // Until a solo final speedup beats 1.0, the best solo answer
+        // is the all-double program (set from the first tuner).
         double bestSingleFinal = 1.0;
         search::Config bestSingleConfig;
         for (const std::string& code : strategies) {
@@ -122,6 +124,8 @@ main(int argc, char** argv)
             run.strategy = code;
 
             auto tuner = freshTuner();
+            if (bestSingleConfig.size() == 0)
+                bestSingleConfig = search::Config(tuner->clusterCount());
             tuner->setMemoStore(
                 std::make_shared<search::MemoStore>(dir.string()));
             core::TuneOutcome cold = tuner->tune(code);

@@ -449,16 +449,18 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
 /**
  * Time @p reps pure executes of @p plan, appending each rep's wall
  * time to @p samples, and leave the last rep's output in @p output
- * when it is non-null. Every rep yields the same values; keeping the
- * last one lets each rep's output reuse the heap block its
- * predecessor freed, where keeping the first made the second rep
- * page-fault a fresh block inside its timed region. This is the
- * tuner's one timed-rep loop (baseline, search evaluations and final
- * measurement), so every rep frees its output outside the timed
- * region. The timed region includes the refinement sweeps: recovery
- * is only a win when the corrected run is still faster than the
- * baseline. A diverging refinement (RefineDiverged; never a hang, the
- * iteration count is bounded) throws.
+ * when it is non-null. Every rep yields the same values. An output
+ * kept alive while a later rep is timed makes that rep page-fault a
+ * fresh heap block inside its timed region, so measure() frees its
+ * kept output first and finalMeasure() keeps its last rep's; the
+ * baseline keeps its first as the reference, and its trimmed mean
+ * drops the one slow rep. This is the tuner's one timed-rep loop
+ * (baseline, search evaluations and final measurement), so every rep
+ * frees its output outside the timed region. The timed region
+ * includes the refinement sweeps: recovery is only a win when the
+ * corrected run is still faster than the baseline. A diverging
+ * refinement (RefineDiverged; never a hang, the iteration count is
+ * bounded) throws.
  */
 void
 BenchmarkTuner::timeExecutes(const benchmarks::RunPlan& plan, bool refined,
@@ -476,9 +478,14 @@ BenchmarkTuner::timeExecutes(const benchmarks::RunPlan& plan, bool refined,
 }
 
 /**
- * One search evaluation's measurement: prepare @p cfg, time @p reps
- * executes of it (at least one) and verify the last rep's output
- * against the reference. Prepare runs once per configuration, so
+ * One search evaluation's measurement: prepare @p cfg, time one
+ * execute of it and verify that rep's output against the reference,
+ * then, only when it passes, time the remaining @p reps - 1 executes.
+ * A failing configuration's runtime is that single sample: no
+ * decision reads it (the best pick, HR's groups and the portfolio
+ * pool rank passing configurations only, GA ranks failing ones by
+ * loss), and the determinism contract makes the verdict and loss
+ * those of any later rep. Prepare runs once per configuration, so
  * precision resolution and input conversion stay outside the timed
  * region, and the verification output is a timed rep's, not a
  * separate untimed run's. Runs in this process or inside a sandbox
@@ -488,16 +495,20 @@ BenchmarkTuner::SandboxPayload
 BenchmarkTuner::measure(const Config& cfg, std::size_t reps) const
 {
     benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(cfg));
+    const bool refined = useRefinement(cfg);
     std::vector<double> samples;
-    benchmarks::RunOutput output;
-    timeExecutes(plan, useRefinement(cfg), std::max<std::size_t>(reps, 1),
-                 samples, &output);
     SandboxPayload payload;
+    {
+        benchmarks::RunOutput output;
+        timeExecutes(plan, refined, 1, samples, &output);
+        verify::Verdict verdict =
+            comparator_.verify(reference_, output.values);
+        payload.passed = verdict.passed ? 1 : 0;
+        payload.loss = verdict.loss;
+    } // rep 1's output is freed before rep 2 is timed
+    if (payload.passed && reps > 1)
+        timeExecutes(plan, refined, reps - 1, samples, nullptr);
     payload.runtimeSeconds = support::trimmedMean(std::move(samples));
-    verify::Verdict verdict =
-        comparator_.verify(reference_, output.values);
-    payload.passed = verdict.passed ? 1 : 0;
-    payload.loss = verdict.loss;
     return payload;
 }
 
@@ -763,8 +774,8 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     allDouble.setOwner(benchmark_.name());
 
     // Both versions are prepared once and interleaved as pure executes;
-    // the verification output comes from the last timed tuned rep
-    // (see timeExecutes() for why not the first).
+    // the verification output comes from the last timed tuned rep,
+    // so no kept output outlives a timed rep (see timeExecutes()).
     benchmarks::RunOutput output;
     std::size_t reps = std::max<std::size_t>(options_.finalReps, 1);
     std::vector<double> baseSamples;

@@ -150,25 +150,20 @@ Buffer::copyFrom(const Buffer& src)
 std::vector<double>
 Buffer::toDoubles() const
 {
-    std::vector<double> out(size_);
+    // One pass: each element is widened straight into the new vector
+    // (bf16 and half through their float conversion), never written
+    // as a zero first.
     switch (precision_) {
     case Precision::BFloat16:
-        for (std::size_t i = 0; i < size_; ++i)
-            out[i] = static_cast<double>(static_cast<float>(bf16_[i]));
-        break;
+        return std::vector<double>(bf16_.begin(), bf16_.end());
     case Precision::Float16:
-        for (std::size_t i = 0; i < size_; ++i)
-            out[i] = static_cast<double>(static_cast<float>(f16_[i]));
-        break;
+        return std::vector<double>(f16_.begin(), f16_.end());
     case Precision::Float32:
-        for (std::size_t i = 0; i < size_; ++i)
-            out[i] = static_cast<double>(f32_[i]);
-        break;
+        return std::vector<double>(f32_.begin(), f32_.end());
     case Precision::Float64:
-        out.assign(f64_.begin(), f64_.end());
-        break;
+        return f64_;
     }
-    return out;
+    return {};
 }
 
 Buffer

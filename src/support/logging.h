@@ -7,7 +7,8 @@
  *
  * Follows the gem5 fatal/panic distinction:
  *  - fatal():  the *user* did something wrong (bad configuration, invalid
- *              arguments); throws FatalError so callers/tests can observe it.
+ *              arguments); throws FatalError without printing, so the
+ *              one catcher that reports it prints the message once.
  *  - panic():  an internal invariant was violated (a bug in this library);
  *              aborts after printing.
  *  - warn()/inform(): non-fatal status messages.
@@ -44,7 +45,7 @@ void warn(const std::string& msg);
 /** Print a debug message (shown only at Debug verbosity). */
 void debug(const std::string& msg);
 
-/** Report a user error: print and throw FatalError. */
+/** Report a user error: throw FatalError (the catcher prints it). */
 [[noreturn]] void fatal(const std::string& msg);
 
 /** Report an internal library bug: print and abort. */

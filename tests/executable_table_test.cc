@@ -30,6 +30,7 @@
 #include "support/memo_log.h"
 #include "support/rng.h"
 #include "support/yaml.h"
+#include "verify/comparator.h"
 
 namespace {
 
@@ -418,13 +419,17 @@ TEST(ExecuteDeterminism, EqualHotProjectionsRunIdenticalExecutables)
  * @p value everywhere, so benchmarks built with different values have
  * different inputs as far as the memo store can tell; with
  * @p stampOrdinal the output is instead the execute's ordinal, which
- * shows which execute produced the tuner's reference.
+ * shows which execute produced the tuner's reference. With
+ * @p lowerFails, lowering `data` adds 0.5 to every output value, so
+ * the lowered configuration fails any quality threshold below 0.5.
  */
 class CountingBenchmark final : public benchmarks::Benchmark {
   public:
     explicit CountingBenchmark(double value = 1.0,
-                               bool stampOrdinal = false)
-        : model_("counting"), value_(value), stampOrdinal_(stampOrdinal)
+                               bool stampOrdinal = false,
+                               bool lowerFails = false)
+        : model_("counting"), value_(value), stampOrdinal_(stampOrdinal),
+          lowerFails_(lowerFails)
     {
         using namespace model;
         ModuleId m = model_.addModule("counting.c");
@@ -444,11 +449,14 @@ class CountingBenchmark final : public benchmarks::Benchmark {
     }
 
     benchmarks::RunOutput
-    run(const benchmarks::PrecisionMap&) const override
+    run(const benchmarks::PrecisionMap& pm) const override
     {
         int ordinal = ++executes;
+        const bool lowered =
+            pm.get("data") != runtime::Precision::Float64;
         benchmarks::RunOutput out;
-        out.values.assign(8, stampOrdinal_ ? ordinal : value_);
+        out.values.assign(8, (stampOrdinal_ ? ordinal : value_) +
+                                 (lowerFails_ && lowered ? 0.5 : 0.0));
         return out;
     }
 
@@ -458,6 +466,7 @@ class CountingBenchmark final : public benchmarks::Benchmark {
     model::ProgramModel model_;
     double value_;
     bool stampOrdinal_;
+    bool lowerFails_;
 };
 
 /** Executes @p bench runs while constructing one tuner. */
@@ -594,6 +603,52 @@ TEST(BaselineRecord, ConcurrentTunersEndWithOneValue)
     EXPECT_EQ(table->size(), 1u);
     EXPECT_EQ(tuner.baselineSeconds(), seconds.front());
     std::filesystem::remove_all(dir);
+}
+
+// --- Early rejection -------------------------------------------------
+
+/**
+ * A search evaluation verifies its first timed rep before it times the
+ * rest: a configuration that fails the quality check executes once, a
+ * passing one every rep, and the verdict and loss are those of a run
+ * that timed (and verified) its last rep. At one rep both do the same
+ * work.
+ */
+TEST(EarlyReject, FailingEvaluationExecutesOncePassingOneEveryRep)
+{
+    TunerOptions opt;
+    opt.searchReps = 3;
+    CountingBenchmark failing(1.0, false, true);
+    CountingBenchmark passing;
+    BenchmarkTuner failTuner(failing, opt);
+    BenchmarkTuner passTuner(passing, opt);
+    Config lowered(failTuner.clusterCount());
+    lowered.set(0);
+    const benchmarks::PrecisionMap pm = failTuner.precisionMapFor(lowered);
+    const verify::OutputComparator comparator(failing.qualityMetric(),
+                                              opt.threshold);
+    const std::vector<double> reference(8, 1.0);
+
+    auto evaluate = [&](BenchmarkTuner& tuner, const CountingBenchmark& bench,
+                        std::size_t reps, int expectedExecutes) {
+        int before = bench.executes;
+        Evaluation eval = tuner.evaluateClusterConfig(lowered, reps);
+        EXPECT_EQ(bench.executes - before, expectedExecutes);
+        // Every rep of an executable yields the same output, so the
+        // last of @p reps reps gives the same verdict and loss.
+        benchmarks::RunOutput last;
+        for (std::size_t rep = 0; rep < reps; ++rep)
+            last = bench.run(pm);
+        verify::Verdict verdict = comparator.verify(reference, last.values);
+        EXPECT_EQ(eval.status, verdict.passed ? EvalStatus::Pass
+                                              : EvalStatus::QualityFail);
+        EXPECT_EQ(eval.qualityLoss, verdict.loss);
+        return eval;
+    };
+    EXPECT_EQ(evaluate(failTuner, failing, 3, 1).qualityLoss, 0.5);
+    EXPECT_EQ(evaluate(passTuner, passing, 3, 3).status, EvalStatus::Pass);
+    evaluate(failTuner, failing, 1, 1);
+    evaluate(passTuner, passing, 1, 1);
 }
 
 } // namespace

@@ -897,6 +897,35 @@ TEST(PoolTuner, PoolAndForkAreTrajectoryIdentical)
     EXPECT_EQ(cacheSnapshot(poolCache), cacheSnapshot(forkCache));
 }
 
+/**
+ * A search evaluation verifies its first timed rep and stops there when
+ * the output fails the quality check. At three reps, so that the early
+ * stop and the remaining timed reps both run, every isolation mode
+ * publishes the same evaluations, a quality failure (`aux` lowered)
+ * among them.
+ */
+TEST(PoolTuner, EarlyRejectionIsIdenticalInEveryIsolationMode)
+{
+    auto snapshot = [](IsolationMode isolation) {
+        RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
+        core::TunerOptions opt = sandboxOptions();
+        opt.isolation = isolation;
+        opt.searchReps = 3;
+        core::BenchmarkTuner tuner(bench, opt);
+        test::CacheCapture capture("DD");
+        (void)tuner.tune(capture);
+        return cacheSnapshot(capture.cache());
+    };
+    const std::set<std::string> inproc = snapshot(IsolationMode::None);
+    EXPECT_EQ(snapshot(IsolationMode::Fork), inproc);
+    EXPECT_EQ(snapshot(IsolationMode::Pool), inproc);
+    EXPECT_TRUE(std::any_of(inproc.begin(), inproc.end(),
+                            [](const std::string& e) {
+                                return e.find("|quality_fail|") !=
+                                       std::string::npos;
+                            }));
+}
+
 TEST(PoolTuner, SurvivesMidCampaignWorkerSigkill)
 {
     auto forkCampaign = [] {
