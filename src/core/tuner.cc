@@ -225,6 +225,10 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
         support::fatal(
             "raw hang injection (--fault-raw-hang-rate) spins until "
             "the parent kills it; it requires a positive --deadline");
+    // Zero reps would leave the baseline without a sample.
+    if (options_.searchReps == 0)
+        support::fatal("--reps must be at least 1 timed rep per search "
+                       "evaluation, got 0");
 
     // Each bind key must live in exactly one cluster, otherwise the
     // cluster -> knob mapping would be ambiguous. That also makes the
@@ -357,23 +361,20 @@ BenchmarkTuner::buildStructure()
 void
 BenchmarkTuner::runBaseline()
 {
-    // The baseline anchors every speedup ratio, so it is measured with
-    // the full final-measurement protocol, once per memo store. The
-    // first timed rep yields the reference output (every rep produces
-    // the same values, so no extra untimed run is needed), and the
-    // reference identifies the inputs the baseline table is keyed by.
-    // A stored runtime stands in for the remaining reps; without a
-    // store, or on a miss, they are timed here and the trimmed mean is
-    // published. The first publisher wins, so every tuner on one store
-    // divides by the same baseline.
+    // One untimed execute yields the reference output, which also
+    // identifies the inputs the baseline table is keyed by. Its wall
+    // time is no sample: a cold first execute reads high. The baseline
+    // runtime only divides search-time speedups, and every search
+    // decision compares two speedups over that one divisor, so it is
+    // timed like any search evaluation: searchReps reps, once per memo
+    // store. Reported speedups divide by finalMeasure()'s own
+    // interleaved baseline reps. Without a store, or on a miss, the
+    // reps are timed here and the trimmed mean is published. The first
+    // publisher wins, so every tuner on one store divides by the same
+    // baseline.
     const Config baseline(clusterCount());
     benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(baseline));
-    const std::size_t reps = std::max<std::size_t>(
-        std::max(options_.searchReps, options_.finalReps), 1);
-    std::vector<double> samples;
-    benchmarks::RunOutput output;
-    timeExecutes(plan, false, 1, samples, &output);
-    reference_ = std::move(output.values);
+    reference_ = executeForConfig(plan, evalWorkspace(), false).values;
     if (reference_.empty())
         support::fatal(support::strCat("benchmark ", benchmark_.name(),
                                        " produced no output"));
@@ -386,7 +387,8 @@ BenchmarkTuner::runBaseline()
         table ? table->lookup(key) : std::nullopt;
     const bool measured = !stored;
     if (measured) {
-        timeExecutes(plan, false, reps - 1, samples, nullptr);
+        std::vector<double> samples;
+        timeExecutes(plan, false, options_.searchReps, samples, nullptr);
         Evaluation eval;
         eval.status = EvalStatus::Pass;
         eval.runtimeSeconds = support::trimmedMean(std::move(samples));
@@ -399,7 +401,8 @@ BenchmarkTuner::runBaseline()
     support::inform(support::strCat(
         benchmark_.name(), ": f64 baseline ", baselineSeconds_ * 1e3,
         " ms ",
-        measured ? support::strCat("measured over ", reps, " reps")
+        measured ? support::strCat("measured over ", options_.searchReps,
+                                   " reps")
                  : std::string("read from the memo store")));
 }
 
@@ -452,9 +455,10 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
  * when it is non-null. Every rep yields the same values. An output
  * kept alive while a later rep is timed makes that rep page-fault a
  * fresh heap block inside its timed region, so measure() frees its
- * kept output first and finalMeasure() keeps its last rep's; the
- * baseline keeps its first as the reference, and its trimmed mean
- * drops the one slow rep. This is the tuner's one timed-rep loop
+ * kept output first and finalMeasure() keeps its last rep's. The
+ * baseline's reference, from an untimed execute, stays alive while
+ * the baseline reps are timed, so the first of them can page-fault.
+ * This is the tuner's one timed-rep loop
  * (baseline, search evaluations and final measurement), so every rep
  * frees its output outside the timed region. The timed region
  * includes the refinement sweeps: recovery is only a win when the

@@ -8,8 +8,10 @@
  * Given a benchmark, the tuner:
  *  1. runs the Typeforge analysis over the benchmark's program model
  *     to obtain the variable clusters,
- *  2. executes the all-double baseline to capture the reference output
- *     and baseline runtime (the runtime is timed once per memo store),
+ *  2. executes the all-double baseline once, untimed, to capture the
+ *     reference output, and times its runtime like a search
+ *     evaluation (searchReps reps, once per memo store): it only
+ *     divides search-time speedups,
  *  3. exposes the program as a cluster-level and a variable-level
  *     search::SearchProblem (CM/HR/HC search variables and pay compile
  *     failures for cluster-splitting choices; CB/DD/GA search
@@ -43,6 +45,7 @@ struct TunerOptions {
     std::string metric;      ///< empty = the benchmark's default
     double threshold = 1e-6; ///< max acceptable quality loss
     std::size_t searchReps = 3; ///< timing reps per search evaluation
+                                ///< and for the search-time baseline
     std::size_t finalReps = 10; ///< reps for the final measurement
     search::SearchBudget budget{2000, 0.0};
 
@@ -226,8 +229,10 @@ class BenchmarkTuner {
     /** Sites of the variable-level problem. */
     std::size_t variableCount() const { return variables_.size(); }
 
-    /** Baseline (all-double) mean runtime in seconds: measured by
-     *  this tuner, or read from the memo store's baseline table. */
+    /** Baseline (all-double) runtime in seconds, the divisor of
+     *  search-time speedups: the trimmed mean of searchReps reps
+     *  timed by this tuner, or read from the memo store's baseline
+     *  table. Final speedups time their own baseline reps. */
     double baselineSeconds() const { return baselineSeconds_; }
 
     /** Cluster-level search problem (CB, DD, GA). */

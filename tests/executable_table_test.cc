@@ -484,7 +484,7 @@ baselineExecutes(const CountingBenchmark& bench, const TunerOptions& opt,
 TunerOptions
 storeOptions(const std::string& dir)
 {
-    TunerOptions opt; // default reps: the baseline times ten
+    TunerOptions opt;
     opt.memoStore = std::make_shared<search::MemoStore>(dir);
     return opt;
 }
@@ -497,18 +497,30 @@ freshDir(const char* name)
     return dir;
 }
 
-TEST(BaselineRecord, WithoutAStoreEveryTunerTimesTenReps)
+/** Executes of a tuner that times its baseline: the untimed
+ *  reference execute, then searchReps timed reps. */
+int
+measuredExecutes(const TunerOptions& opt)
 {
-    CountingBenchmark bench(0.0, true);
-    TunerOptions opt;
-    BenchmarkTuner first(bench, opt);
-    EXPECT_EQ(bench.executes, 10);
-    // The reference is the first timed rep's output.
-    std::vector<double> firstOutput(8, 1.0);
-    EXPECT_EQ(first.fingerprint(search::Granularity::Cluster).inputSignature,
-              support::fnv1a64(firstOutput.data(),
-                               firstOutput.size() * sizeof(double)));
-    EXPECT_EQ(baselineExecutes(bench, opt), 10);
+    return 1 + static_cast<int>(opt.searchReps);
+}
+
+TEST(BaselineRecord, WithoutAStoreEveryTunerTimesSearchReps)
+{
+    for (std::size_t reps : {1u, 5u}) {
+        CountingBenchmark bench(0.0, true);
+        TunerOptions opt;
+        opt.searchReps = reps;
+        BenchmarkTuner first(bench, opt);
+        EXPECT_EQ(bench.executes, measuredExecutes(opt));
+        // The reference is the first execute's output.
+        std::vector<double> firstOutput(8, 1.0);
+        EXPECT_EQ(
+            first.fingerprint(search::Granularity::Cluster).inputSignature,
+            support::fnv1a64(firstOutput.data(),
+                             firstOutput.size() * sizeof(double)));
+        EXPECT_EQ(baselineExecutes(bench, opt), measuredExecutes(opt));
+    }
 }
 
 TEST(BaselineRecord, SecondTunerOnTheStoreTimesOneRep)
@@ -518,7 +530,7 @@ TEST(BaselineRecord, SecondTunerOnTheStoreTimesOneRep)
     CountingBenchmark bench;
     double first = 0.0;
     double second = 0.0;
-    EXPECT_EQ(baselineExecutes(bench, opt, &first), 10);
+    EXPECT_EQ(baselineExecutes(bench, opt, &first), measuredExecutes(opt));
     EXPECT_EQ(baselineExecutes(bench, opt, &second), 1);
     EXPECT_EQ(second, first);
 
@@ -542,7 +554,8 @@ TEST(BaselineRecord, NewStoreOnTheSameDirectoryHits)
     CountingBenchmark bench;
     double first = 0.0;
     double reopened = 0.0;
-    EXPECT_EQ(baselineExecutes(bench, storeOptions(dir), &first), 10);
+    EXPECT_EQ(baselineExecutes(bench, storeOptions(dir), &first),
+              measuredExecutes(storeOptions(dir)));
     EXPECT_EQ(baselineExecutes(bench, storeOptions(dir), &reopened), 1);
     EXPECT_EQ(reopened, first);
     std::filesystem::remove_all(dir);
@@ -554,7 +567,7 @@ TEST(BaselineRecord, ThresholdMetricAndLadderShareOneRecordInputDoesNot)
     TunerOptions opt = storeOptions(dir);
     CountingBenchmark bench;
     double first = 0.0;
-    EXPECT_EQ(baselineExecutes(bench, opt, &first), 10);
+    EXPECT_EQ(baselineExecutes(bench, opt, &first), measuredExecutes(opt));
 
     TunerOptions threshold = opt;
     threshold.threshold = 1e-3;
@@ -569,7 +582,7 @@ TEST(BaselineRecord, ThresholdMetricAndLadderShareOneRecordInputDoesNot)
     }
 
     CountingBenchmark changed(2.0);
-    EXPECT_EQ(baselineExecutes(changed, opt), 10);
+    EXPECT_EQ(baselineExecutes(changed, opt), measuredExecutes(opt));
     BenchmarkTuner a(bench, opt);
     BenchmarkTuner b(changed, opt);
     EXPECT_NE(a.baselineFingerprint().inputSignature,
@@ -595,8 +608,11 @@ TEST(BaselineRecord, ConcurrentTunersEndWithOneValue)
         t.join();
     for (double s : seconds)
         EXPECT_EQ(s, seconds.front());
-    EXPECT_GE(bench.executes, 10 + 3);
-    EXPECT_LE(bench.executes, 40);
+    // At least one tuner measures and every other one at least reads
+    // the record; at most all four measure.
+    const int measured = measuredExecutes(opt);
+    EXPECT_GE(bench.executes, measured + 3);
+    EXPECT_LE(bench.executes, 4 * measured);
 
     BenchmarkTuner tuner(bench, opt);
     auto table = opt.memoStore->table(tuner.baselineFingerprint());

@@ -30,16 +30,22 @@ using hpcmixp::support::Pcg32;
 /**
  * A randomized "toxic subset" problem: each site is independently
  * toxic with probability 1/3; a configuration passes iff it lowers no
- * toxic site. Speedup grows with the number of lowered sites.
+ * toxic site. Speedup grows with the number of lowered sites, by 0.05
+ * per site, or with @p rankedGains by a random per-site gain in
+ * {1, ..., 8} / 64, so that configurations of equal size rank apart.
  */
 class RandomProblem : public SearchProblem {
   public:
-    RandomProblem(std::size_t sites, std::uint64_t seed)
+    RandomProblem(std::size_t sites, std::uint64_t seed,
+                  bool rankedGains = false)
         : sites_(sites), toxic_(sites)
     {
         Pcg32 rng(seed);
         for (std::size_t i = 0; i < sites; ++i)
             toxic_[i] = rng.chance(1.0 / 3.0);
+        if (rankedGains)
+            for (std::size_t i = 0; i < sites; ++i)
+                gains_.push_back((1.0 + rng.nextBounded(8)) / 64.0);
     }
 
     std::size_t siteCount() const override { return sites_; }
@@ -57,8 +63,13 @@ class RandomProblem : public SearchProblem {
     evaluate(const Config& config) override
     {
         Evaluation eval;
-        eval.speedup =
-            1.0 + 0.05 * static_cast<double>(config.count());
+        double gain = 0.05 * static_cast<double>(config.count());
+        if (!gains_.empty()) {
+            gain = 0.0;
+            for (std::size_t i = 0; i < sites_; ++i)
+                gain += config.test(i) ? gains_[i] : 0.0;
+        }
+        eval.speedup = 1.0 + gain;
         eval.runtimeSeconds = 1.0 / eval.speedup;
         eval.status = passes(config) ? EvalStatus::Pass
                                      : EvalStatus::QualityFail;
@@ -79,14 +90,16 @@ class RandomProblem : public SearchProblem {
   private:
     std::size_t sites_;
     std::vector<bool> toxic_;
+    std::vector<double> gains_; ///< empty = 0.05 per lowered site
 };
 
 /** RandomProblem plus a two-module structure tree so the hierarchical
  *  strategies (HR, HC) can run over it. */
 class StructuredRandomProblem : public RandomProblem {
   public:
-    StructuredRandomProblem(std::size_t sites, std::uint64_t seed)
-        : RandomProblem(sites, seed)
+    StructuredRandomProblem(std::size_t sites, std::uint64_t seed,
+                            bool rankedGains = false)
+        : RandomProblem(sites, seed, rankedGains)
     {
         tree_.name = "prog";
         StructureNode left, right;
@@ -575,6 +588,72 @@ TEST_P(SearchProperty, DefaultLadderMatchesPreLadderTrajectoryGolden)
             << code << " seed=" << seed
             << ": two-rung trajectory drifted from the pre-ladder "
                "golden";
+    }
+}
+
+/**
+ * Multiplies every speedup of an inner problem by a common @p scale,
+ * as a different baseline runtime would, and records each
+ * evaluation's (config, status) in order: a serial search commits in
+ * evaluation order.
+ */
+class ScaledSpeedupProblem : public SearchProblem {
+  public:
+    ScaledSpeedupProblem(SearchProblem& inner, double scale)
+        : inner_(inner), scale_(scale)
+    {
+    }
+
+    std::size_t siteCount() const override { return inner_.siteCount(); }
+    const StructureNode* structure() const override
+    {
+        return inner_.structure();
+    }
+
+    Evaluation
+    evaluate(const Config& config) override
+    {
+        Evaluation eval = inner_.evaluate(config);
+        eval.speedup *= scale_;
+        committed.emplace_back(config.toString(), eval.status);
+        return eval;
+    }
+
+    std::vector<std::pair<std::string, EvalStatus>> committed;
+
+  private:
+    SearchProblem& inner_;
+    double scale_;
+};
+
+/**
+ * Search-time speedups all divide by one baseline runtime, so no
+ * decision may depend on its value: every strategy commits the same
+ * evaluations and returns the same best when every speedup is halved
+ * or doubled. Powers of two keep every comparison exact.
+ */
+TEST_P(SearchProperty, DecisionsIgnoreTheBaselineScale)
+{
+    for (const char* code : {"CB", "CM", "DD", "GA", "HR", "HC"}) {
+        std::vector<std::pair<std::string, EvalStatus>> reference;
+        std::string referenceBest;
+        for (double scale : {1.0, 0.5, 2.0}) {
+            StructuredRandomProblem inner(7, GetParam(), true);
+            ScaledSpeedupProblem problem(inner, scale);
+            auto result = runSearch(problem, code, bigBudget());
+            std::string best = result.foundImprovement
+                                   ? result.best.toString()
+                                   : std::string("-");
+            if (scale == 1.0) {
+                reference = problem.committed;
+                referenceBest = best;
+                continue;
+            }
+            EXPECT_EQ(problem.committed, reference)
+                << code << " seed=" << GetParam() << " scale=" << scale;
+            EXPECT_EQ(best, referenceBest)
+                << code << " seed=" << GetParam() << " scale=" << scale;
+        }
     }
 }
 
