@@ -1,14 +1,12 @@
 /**
  * @file
- * Measurement: the cost of process isolation, and work stealing
- * (DESIGN.md §13, §15).
+ * Measurement: the cost of process isolation (DESIGN.md §13, §15).
  *
- * Part 1 — isolation cost. For each benchmark, builds one tuner per
- * isolation mode from identical options — in-process
- * (--isolation=none), a fresh one-job worker per evaluation
- * (--isolation=fork: fork + prepare + reap per attempt) and
- * persistent pre-forked workers fed over shared-memory rings
- * (--isolation=pool) — and times direct evaluateClusterConfig calls
+ * For each benchmark, builds one tuner per isolation mode from
+ * identical options — in-process (--isolation=none), a fresh one-job
+ * worker per evaluation (--isolation=fork: fork + prepare + reap per
+ * attempt) and persistent pre-forked workers fed over shared-memory
+ * rings (--isolation=pool) — and times direct evaluateClusterConfig calls
  * over the benchmark's distinct executables: every level combination
  * of the clusters that bind a runtime knob, the others at double. A
  * search measures each executable once (configurations that differ
@@ -27,38 +25,22 @@
  * --budget N sets the none/fork pairs per benchmark (rounded up to
  * whole rounds over the executables).
  *
- * Part 2 — work stealing. Pushes a deliberately uneven-latency
- * synthetic batch through SearchContext::evaluateBatch under the
- * stealing scheduler and the non-stealing FIFO scheduler (static
- * round-robin dealing) at 4 worker threads, and compares batch
- * throughput. Per-item latency blocks (sleeps) rather than spins,
- * mirroring the sandboxed reality this pool exists for — the parent
- * thread waits on a child pidfd — so the comparison holds on any
- * core count. The headline check: with skewed per-item latencies,
- * stealing reaches at least 1.3x FIFO throughput (idle workers raid
- * a loaded sibling's deque instead of sleeping while the unluckiest
- * worker convoys through its dealt long jobs).
- *
  * Extra flag beyond the common set:
  *   --json F   write the full result document to F
  *              (default BENCH_worker_pool.json)
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "search/driver.h"
 #include "support/json.h"
 #include "support/logging.h"
-#include "support/rng.h"
 #include "support/timer.h"
 
 namespace {
@@ -107,77 +89,6 @@ rate(std::size_t count, double seconds)
     return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
 }
 
-/**
- * Synthetic uneven-latency problem for the stealing comparison: each
- * evaluation blocks for a seeded, config-determined interval — the
- * shape of a sandboxed evaluation, where the searcher thread sleeps
- * on the child's pidfd — while the reported values stay pure
- * functions of the configuration.
- */
-class SkewedProblem final : public search::SearchProblem {
-  public:
-    explicit SkewedProblem(std::size_t sites) : sites_(sites) {}
-
-    std::size_t siteCount() const override { return sites_; }
-
-    search::Evaluation
-    evaluate(const search::Config& config) override
-    {
-        support::Pcg32 rng(
-            std::hash<std::string>{}(config.toString()));
-        // Latencies spread over ~2 decades: most configs are cheap,
-        // ~15% are ~70x the median — the shape that convoys a
-        // non-stealing pool behind its unluckiest worker.
-        std::uint32_t micros = 100 + rng.nextBounded(200);
-        if (rng.chance(0.15))
-            micros *= 70;
-        std::this_thread::sleep_for(std::chrono::microseconds(micros));
-
-        search::Evaluation eval;
-        eval.speedup =
-            1.0 + 0.01 * static_cast<double>(config.count());
-        eval.runtimeSeconds = 1.0 / eval.speedup;
-        eval.status = search::EvalStatus::Pass;
-        eval.qualityLoss = 0.0;
-        return eval;
-    }
-
-  private:
-    std::size_t sites_;
-};
-
-double
-stealBatchSeconds(search::SearchContext::BatchScheduling mode,
-                  std::size_t jobs, std::size_t batchItems,
-                  std::size_t rounds, std::size_t& steals)
-{
-    SkewedProblem problem(16);
-    search::SearchContext ctx(problem, {1000000000, 0.0},
-                              search::ResiliencePolicy{});
-    ctx.setSearchJobs(jobs);
-    ctx.setBatchScheduling(mode);
-
-    // Distinct configurations per round (evaluateBatch caches), all
-    // derived from a fixed seed so both modes see identical batches.
-    support::Pcg32 rng(20200908);
-    support::WallTimer timer;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<search::Config> batch;
-        batch.reserve(batchItems);
-        for (std::size_t i = 0; i < batchItems; ++i) {
-            search::Config cfg(16);
-            for (std::size_t s = 0; s < 16; ++s)
-                if (rng.chance(0.5))
-                    cfg.set(s);
-            batch.push_back(cfg);
-        }
-        (void)ctx.evaluateBatch(batch);
-    }
-    double seconds = timer.seconds();
-    steals = ctx.counters().steals;
-    return seconds;
-}
-
 } // namespace
 
 int
@@ -188,8 +99,6 @@ main(int argc, char** argv)
     support::CommandLine cl(argc, argv);
     std::string jsonPath =
         cl.getString("json", "BENCH_worker_pool.json");
-
-    // ---- Part 1: isolation cost, none vs fork vs pool ------------
 
     // Application benchmarks, not microkernels: per-evaluation
     // runtime must dwarf the ~ms fork tax for the overhead number to
@@ -290,36 +199,6 @@ main(int argc, char** argv)
               << options.tuner.searchReps << ")\n";
     benchutil::emit(table, options);
 
-    // ---- Part 2: stealing vs FIFO on an uneven-latency batch --------
-
-    const std::size_t jobs = 8;
-    std::size_t batchItems = 64;
-    std::size_t rounds = support::quickMode() ? 8 : 16;
-
-    std::size_t fifoSteals = 0, stealSteals = 0;
-    double fifoSeconds = stealBatchSeconds(
-        search::SearchContext::BatchScheduling::Fifo, jobs, batchItems,
-        rounds, fifoSteals);
-    double stealSeconds = stealBatchSeconds(
-        search::SearchContext::BatchScheduling::Steal, jobs, batchItems,
-        rounds, stealSteals);
-    double throughputRatio =
-        stealSeconds > 0.0 ? fifoSeconds / stealSeconds : 0.0;
-
-    support::Table stealTable(
-        {"scheduler", "batch s", "steals", "vs FIFO"});
-    stealTable.addRow({"fifo", support::Table::cell(fifoSeconds, 4),
-                       support::Table::cell(
-                           static_cast<long>(fifoSteals)),
-                       "1.00"});
-    stealTable.addRow({"steal", support::Table::cell(stealSeconds, 4),
-                       support::Table::cell(
-                           static_cast<long>(stealSteals)),
-                       support::Table::cell(throughputRatio, 2)});
-    std::cout << "\nStealing vs FIFO, " << rounds << " x " << batchItems
-              << "-config skewed batches at " << jobs << " jobs\n";
-    benchutil::emit(stealTable, options);
-
     // ---- JSON -------------------------------------------------------
 
     using support::json::Value;
@@ -346,17 +225,6 @@ main(int argc, char** argv)
         rows.push(std::move(row));
     }
     doc.set("kernels", std::move(rows));
-
-    Value steal = Value::object();
-    steal.set("jobs", Value::number(static_cast<double>(jobs)));
-    steal.set("rounds", Value::number(static_cast<double>(rounds)));
-    steal.set("batch_items",
-              Value::number(static_cast<double>(batchItems)));
-    steal.set("fifo_seconds", Value::number(fifoSeconds));
-    steal.set("steal_seconds", Value::number(stealSeconds));
-    steal.set("steals", Value::number(static_cast<double>(stealSteals)));
-    steal.set("throughput_ratio", Value::number(throughputRatio));
-    doc.set("stealing", std::move(steal));
 
     std::ofstream out(jsonPath);
     if (!out)

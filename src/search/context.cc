@@ -6,33 +6,17 @@
 #include <utility>
 
 #include "support/logging.h"
+#include "support/memo_log.h"
+#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace hpcmixp::search {
-
-namespace {
-
-/** FNV-1a over the config key: seeds the per-task jitter stream so
- *  backoff jitter is independent of worker scheduling order. */
-std::uint64_t
-keyHash(const std::string& key)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
 
 SearchContext::SearchContext(SearchProblem& problem, SearchBudget budget,
                              ResiliencePolicy resilience)
     : problem_(problem),
       budget_(budget),
-      resilience_(resilience),
-      retryRng_(resilience.seed, /*stream=*/0x7e51) // jitter stream
+      resilience_(resilience)
 {
 }
 
@@ -95,20 +79,6 @@ SearchContext::searchJobs() const
     return searchJobs_;
 }
 
-void
-SearchContext::setBatchScheduling(BatchScheduling scheduling)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scheduling_ = scheduling;
-}
-
-SearchContext::BatchScheduling
-SearchContext::batchScheduling() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scheduling_;
-}
-
 SearchCounters
 SearchContext::counters() const
 {
@@ -151,17 +121,17 @@ SearchContext::noteBestLocked(const Config& config, const Evaluation& eval)
  * Side-effect-free with respect to the context: resilience events land
  * in @p task and are merged into the shared totals only when the
  * result commits, so speculative batch evaluations that get discarded
- * by the budget leave no trace.
+ * by the budget leave no trace. Backoff jitter comes from a stream
+ * seeded by (policy seed, config key @p key), so retry timing never
+ * depends on which worker runs the evaluation, or when.
  */
 Evaluation
 SearchContext::evaluateResilient(const Config& config,
-                                 SearchCounters& task,
-                                 support::Pcg32& jitterRng)
+                                 const std::string& key,
+                                 SearchCounters& task)
 {
     // Strict prior mode: a configuration that lowers a pinned site is
     // rejected like an uncompilable one, without executing anything.
-    // Batch evaluation reaches this point without passing through
-    // evaluate(), so the check lives here rather than there.
     if (prior_.strict() && prior_.violates(config)) {
         Evaluation rejected;
         rejected.status = EvalStatus::CompileFail;
@@ -169,6 +139,8 @@ SearchContext::evaluateResilient(const Config& config,
     }
     std::size_t maxAttempts =
         resilience_.maxAttempts > 0 ? resilience_.maxAttempts : 1;
+    support::Pcg32 jitterRng(resilience_.seed ^ support::fnv1a64(key),
+                             /*stream=*/0x7e51);
     Evaluation eval;
     for (std::size_t attempt = 1;; ++attempt) {
         support::WallTimer attemptTimer;
@@ -256,39 +228,10 @@ SearchContext::commitMemoHitLocked(std::string key,
         .first->second;
 }
 
-const Evaluation&
+Evaluation
 SearchContext::evaluate(const Config& config)
 {
-    HPCMIXP_ASSERT(config.size() == problem_.siteCount(),
-                   "config size does not match problem site count");
-    std::string key = config.toString();
-    // Strict prior mode rejects pinned configurations without
-    // executing; the rejection must also bypass the memo, whose
-    // entries may come from runs with a different prior mode.
-    bool strictReject = prior_.strict() && prior_.violates(config);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++counters_.cacheHits;
-            noteBestLocked(config, it->second);
-            return it->second;
-        }
-        if (memo_ && !strictReject) {
-            if (auto hit = memo_->lookup(key))
-                return commitMemoHitLocked(std::move(key), config,
-                                           std::move(*hit));
-        }
-        checkBudgetLocked();
-    }
-
-    // Evaluate outside the lock; the serial path shares one jitter
-    // stream, exactly as before batching existed.
-    SearchCounters task;
-    Evaluation eval = evaluateResilient(config, task, retryRng_);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    return commitLocked(std::move(key), config, std::move(eval), task);
+    return evaluateBatch({&config, 1}).front();
 }
 
 std::vector<Evaluation>
@@ -296,51 +239,48 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
 {
     if (configs.empty())
         return {};
-    std::size_t jobs = searchJobs();
-    if (jobs <= 1 || configs.size() == 1) {
-        // Serial fallback: literally the serial loop.
-        std::vector<Evaluation> out;
-        out.reserve(configs.size());
-        for (const auto& config : configs)
-            out.push_back(evaluate(config));
-        return out;
-    }
+
+    // Strict prior mode rejects pinned configurations without
+    // executing; the rejection must also bypass the memo, whose
+    // entries may come from runs with a different prior mode.
+    auto memoEligible = [this](const Config& config) {
+        return memo_ && !(prior_.strict() && prior_.violates(config));
+    };
 
     // Plan: classify each candidate against the cache, the persistent
     // memo and earlier batch entries. Only first occurrences of
-    // uncached, unmemoized configurations ("fresh") get an evaluation
-    // task; memo hits commit the stored evaluation without a task, and
-    // repeats become cache hits at commit time, exactly as in the
-    // serial loop.
+    // uncached, unmemoized configurations ("fresh") need an
+    // evaluation; memo hits commit the stored evaluation without one,
+    // and repeats become cache hits at commit time.
     enum class Kind { Hit, Duplicate, Memo, Fresh };
     struct Slot {
         std::string key;
         Kind kind = Kind::Fresh;
-        std::size_t fresh = 0; ///< task index when kind == Fresh
+        std::size_t fresh = 0; ///< fresh-candidate index
         Evaluation memoEval;   ///< payload when kind == Kind::Memo
     };
     std::vector<Slot> plan;
     plan.reserve(configs.size());
     std::size_t freshCount = 0;
+    std::size_t jobs = 1;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        jobs = searchJobs_;
         // Keys already claimed by an earlier slot of this batch —
-        // fresh tasks and memo commits alike; repeats of either are
-        // in-run cache hits once the first occurrence commits.
+        // fresh candidates and memo commits alike; repeats of either
+        // are in-run cache hits once the first occurrence commits.
         std::unordered_map<std::string, std::size_t> claimed;
         for (const auto& config : configs) {
             HPCMIXP_ASSERT(config.size() == problem_.siteCount(),
                            "config size does not match problem site count");
             Slot slot;
             slot.key = config.toString();
-            bool strictReject =
-                prior_.strict() && prior_.violates(config);
             std::optional<Evaluation> memoHit;
             if (cache_.count(slot.key) > 0) {
                 slot.kind = Kind::Hit;
             } else if (claimed.count(slot.key) > 0) {
                 slot.kind = Kind::Duplicate;
-            } else if (memo_ && !strictReject &&
+            } else if (memoEligible(config) &&
                        (memoHit = memo_->lookup(slot.key))) {
                 slot.kind = Kind::Memo;
                 slot.memoEval = std::move(*memoHit);
@@ -354,28 +294,25 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
         }
     }
 
-    // Evaluate: fresh candidates run concurrently. Each task gets its
-    // own jitter stream seeded from the config key, so backoff timing
-    // never depends on worker scheduling. Candidates that turn out to
-    // lie past the budget are evaluated speculatively here and
-    // discarded below.
-    std::vector<Evaluation> results(freshCount);
-    std::vector<SearchCounters> tasks(freshCount);
-    if (freshCount > 0) {
-        const support::ThreadPool::Scheduling mode =
-            batchScheduling() == BatchScheduling::Fifo
-                ? support::ThreadPool::Scheduling::Fifo
-                : support::ThreadPool::Scheduling::Steal;
+    // Evaluate ahead: with more than one worker and more than one
+    // fresh candidate, the fresh ones run concurrently before the
+    // commit. Candidates that turn out to lie past the budget are
+    // evaluated speculatively here and discarded below. Otherwise each
+    // fresh candidate runs at its own commit.
+    const bool ahead = jobs > 1 && freshCount > 1;
+    std::vector<Evaluation> results;
+    std::vector<SearchCounters> tasks;
+    if (ahead) {
+        results.resize(freshCount);
+        tasks.resize(freshCount);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (pool_ && (pool_->workerCount() != jobs ||
-                          pool_->scheduling() != mode)) {
+            if (pool_ && pool_->workerCount() != jobs) {
                 counters_.steals += pool_->stealCount();
                 pool_.reset();
             }
             if (!pool_)
-                pool_ = std::make_unique<support::ThreadPool>(jobs,
-                                                              mode);
+                pool_ = std::make_unique<support::ThreadPool>(jobs);
         }
         std::vector<std::future<void>> futures;
         futures.reserve(freshCount);
@@ -383,14 +320,12 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             if (plan[i].kind != Kind::Fresh)
                 continue;
             const Config& config = configs[i];
+            const std::string& key = plan[i].key;
             std::size_t task = plan[i].fresh;
-            std::uint64_t jitterSeed =
-                resilience_.seed ^ keyHash(plan[i].key);
             futures.push_back(pool_->submit(
-                [this, &config, task, jitterSeed, &results, &tasks] {
-                    support::Pcg32 rng(jitterSeed, /*stream=*/0x7e51);
-                    results[task] = evaluateResilient(
-                        config, tasks[task], rng);
+                [this, &config, &key, task, &results, &tasks] {
+                    results[task] =
+                        evaluateResilient(config, key, tasks[task]);
                 }));
         }
         for (auto& fut : futures)
@@ -399,27 +334,46 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
             fut.get(); // propagate any task exception
     }
 
-    // Commit in submission order under one critical section, so the
-    // observable trajectory (counters, cache, best, budget throw
-    // point, memo publication order) is bit-identical to the serial
-    // loop. A budget hit throws and discards the uncommitted tail.
+    // Commit in submission order, so the observable trajectory
+    // (counters, cache, best, budget throw point, memo publication
+    // order) does not depend on the worker count. A budget hit throws
+    // and discards the uncommitted tail.
     std::vector<Evaluation> out(configs.size());
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < plan.size(); ++i) {
         Slot& slot = plan[i];
+        if (slot.kind == Kind::Fresh && !ahead &&
+            memoEligible(configs[i])) {
+            // A portfolio entrant sharing the memo table may have
+            // published this key since the plan: look again before
+            // executing it.
+            if (auto hit = memo_->lookup(slot.key)) {
+                slot.kind = Kind::Memo;
+                slot.memoEval = std::move(*hit);
+            }
+        }
         if (slot.kind == Kind::Fresh) {
             checkBudgetLocked();
+            Evaluation eval;
+            SearchCounters task;
+            if (ahead) {
+                eval = std::move(results[slot.fresh]);
+                task = tasks[slot.fresh];
+            } else {
+                lock.unlock();
+                eval = evaluateResilient(configs[i], slot.key, task);
+                lock.lock();
+            }
             out[i] = commitLocked(std::move(slot.key), configs[i],
-                                  std::move(results[slot.fresh]),
-                                  tasks[slot.fresh]);
+                                  std::move(eval), task);
         } else if (slot.kind == Kind::Memo) {
-            // As in the serial path: a memo hit commits without a
-            // budget check, EV increment or memo publication.
+            // A memo hit commits without a budget check, EV increment
+            // or memo publication.
             out[i] = commitMemoHitLocked(std::move(slot.key),
                                          configs[i],
                                          std::move(slot.memoEval));
         } else {
-            // Hit on the pre-batch cache, or repeat of a fresh entry
+            // Hit on the pre-batch cache, or repeat of an entry
             // committed earlier in this loop.
             auto it = cache_.find(slot.key);
             HPCMIXP_ASSERT(it != cache_.end(),

@@ -21,12 +21,13 @@
  * configuration that exhausts its retries is quarantined — recorded
  * as failed so the search continues instead of aborting.
  *
- * evaluateBatch() hides evaluation latency the way the paper's SLURM
+ * evaluateBatch() is the one evaluation path (evaluate() is a batch of
+ * one), and it hides evaluation latency the way the paper's SLURM
  * campaigns do: a set of independent candidates is evaluated
  * concurrently on a thread pool, but the results are *committed in
  * submission order*, so EV accounting, budget exhaustion, cache
  * population, memo publication order and best-so-far tracking are
- * bit-identical to the serial loop (DESIGN.md, Section 9). All shared
+ * bit-identical to a one-worker run (DESIGN.md, Section 9). All shared
  * state is mutex-guarded, so the context is safe to query while a
  * batch is in flight.
  */
@@ -49,7 +50,6 @@
 #include "search/problem.h"
 #include "support/json.h"
 #include "support/retry.h"
-#include "support/rng.h"
 #include "support/timer.h"
 
 namespace hpcmixp::support {
@@ -99,21 +99,25 @@ class SearchContext {
     const StructureNode* structure() const { return problem_.structure(); }
 
     /**
-     * Evaluate @p config, consulting the cache first.
+     * Evaluate @p config, consulting the cache first: a batch of one.
      * @throws BudgetExhausted once the budget is exceeded.
      */
-    const Evaluation& evaluate(const Config& config);
+    Evaluation evaluate(const Config& config);
 
     /**
      * Evaluate a set of *independent* candidates, returning their
-     * evaluations in submission order. With searchJobs() > 1 the fresh
-     * (uncached, first-occurrence) candidates run concurrently on a
-     * thread pool; results are then committed strictly in submission
-     * order, so the cache contents, EV/cache-hit/retry/quarantine
-     * counters, memo publication order and the point at which
-     * BudgetExhausted fires are identical to calling evaluate() in a
-     * loop. Candidates past the budget are evaluated speculatively but
-     * never committed.
+     * evaluations in submission order. Each candidate is planned
+     * against the cache, the memo and the earlier candidates, then
+     * committed strictly in submission order, so the cache contents,
+     * EV/cache-hit/retry/quarantine counters, memo publication order
+     * and the point at which BudgetExhausted fires do not depend on
+     * searchJobs(). With searchJobs() > 1 and more than one fresh
+     * (uncached, unmemoized, first-occurrence) candidate, the fresh
+     * ones run concurrently on a thread pool ahead of their commit,
+     * and those past the budget are evaluated speculatively but never
+     * committed. Otherwise each fresh candidate runs at its commit,
+     * after a second memo lookup and its budget check, outside the
+     * lock; a serial search never executes past its budget.
      *
      * The problem's evaluate() must tolerate concurrent calls when
      * searchJobs() > 1 (every built-in problem and FaultyProblem do).
@@ -130,21 +134,6 @@ class SearchContext {
      */
     void setSearchJobs(std::size_t jobs);
     std::size_t searchJobs() const;
-
-    /** Scheduling mode of the evaluateBatch thread pool. */
-    enum class BatchScheduling {
-        Fifo,  ///< static round-robin dealing, no stealing
-        Steal, ///< same dealing plus work stealing (default)
-    };
-
-    /**
-     * Select the batch scheduler. Trajectories are bit-identical
-     * either way — results commit in submission order regardless of
-     * execution order — so this is a performance knob (and the lever
-     * the equivalence tests pull). Takes effect at the next batch.
-     */
-    void setBatchScheduling(BatchScheduling scheduling);
-    BatchScheduling batchScheduling() const;
 
     /**
      * Install a static sensitivity prior (DESIGN.md Section 11).
@@ -191,7 +180,7 @@ class SearchContext {
      * Snapshot of the counters: EV, compile failures, in-run cache
      * hits, cross-run memo hits and the resilience events of every
      * committed evaluation, plus the batch evaluations a pool worker
-     * stole from another (always 0 under Fifo).
+     * stole from another.
      */
     SearchCounters counters() const;
 
@@ -218,8 +207,8 @@ class SearchContext {
                                           const Config& config,
                                           Evaluation eval);
     Evaluation evaluateResilient(const Config& config,
-                                 SearchCounters& task,
-                                 support::Pcg32& jitterRng);
+                                 const std::string& key,
+                                 SearchCounters& task);
 
     SearchProblem& problem_;
     SearchBudget budget_;
@@ -229,7 +218,6 @@ class SearchContext {
     /// internally synchronized, so no context lock is needed to use it.
     std::shared_ptr<MemoTable> memo_;
     std::shared_ptr<const std::atomic<bool>> cancel_;
-    support::Pcg32 retryRng_;
     support::WallTimer timer_;
 
     mutable std::mutex mutex_; ///< guards everything below
@@ -241,7 +229,6 @@ class SearchContext {
     bool exhausted_ = false;
 
     std::size_t searchJobs_ = 1;
-    BatchScheduling scheduling_ = BatchScheduling::Steal;
     std::unique_ptr<support::ThreadPool> pool_;
 };
 

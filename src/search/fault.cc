@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "support/logging.h"
+#include "support/memo_log.h"
 #include "support/retry.h"
 #include "support/rng.h"
 
@@ -15,18 +16,6 @@ namespace {
  *  the same evaluation thread (see header). */
 thread_local RawFault tlsPendingRawFault = RawFault::None;
 
-/** FNV-1a over the configuration key, for seeding the decision draw. */
-std::uint64_t
-hashKey(const std::string& key)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 FaultKind
@@ -36,7 +25,7 @@ FaultInjector::draw(const std::string& configKey, std::uint64_t attempt)
         return FaultKind::None;
     // One SplitMix64 step over (seed, key, attempt) gives a stateless,
     // replayable decision per attempt.
-    support::SplitMix64 mix(plan_.seed ^ hashKey(configKey) ^
+    support::SplitMix64 mix(plan_.seed ^ support::fnv1a64(configKey) ^
                             (attempt * 0x9e3779b97f4a7c15ULL));
     double u = static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
     if (u < plan_.crashRate) {

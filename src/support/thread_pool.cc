@@ -4,8 +4,7 @@
 
 namespace hpcmixp::support {
 
-ThreadPool::ThreadPool(std::size_t workers, Scheduling scheduling)
-    : scheduling_(scheduling)
+ThreadPool::ThreadPool(std::size_t workers)
 {
     if (workers == 0) {
         workers = std::thread::hardware_concurrency();
@@ -22,33 +21,13 @@ ThreadPool::ThreadPool(std::size_t workers, Scheduling scheduling)
 
 ThreadPool::~ThreadPool()
 {
-    shutdown(Shutdown::Drain);
-}
-
-void
-ThreadPool::shutdown(Shutdown mode)
-{
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stop_ && threads_.empty())
-            return; // already shut down
         stop_ = true;
-        if (mode == Shutdown::Cancel) {
-            // Destroying a packaged_task before invoking it breaks its
-            // future: waiters see std::future_error, not a hang.
-            for (auto& q : queues_) {
-                std::lock_guard<std::mutex> qlock(q->mutex);
-                cancelled_ += q->jobs.size();
-                pending_.fetch_sub(q->jobs.size());
-                q->jobs.clear();
-            }
-        }
     }
     cv_.notify_all();
     for (auto& t : threads_)
         t.join();
-    threads_.clear();
-    idleCv_.notify_all();
 }
 
 std::future<void>
@@ -73,81 +52,42 @@ ThreadPool::submit(std::function<void()> job)
     // load (both seq_cst): either this submit sees the sleeper and
     // rings the bell, or the sleeper's pre-sleep re-check (under the
     // mutex) sees pending_ > 0 and never sleeps. No lost wakeups.
+    // Any woken worker can run the job, stealing it if need be.
     pending_.fetch_add(1);
     if (sleepers_.load() > 0) {
         std::lock_guard<std::mutex> lock(mutex_);
-        // Under static dealing only the dealt worker can run this job,
-        // and notify_one may rouse a different sleeper — wake them all
-        // and let the wrong ones re-check their own deque and re-sleep.
-        if (scheduling_ == Scheduling::Fifo)
-            cv_.notify_all();
-        else
-            cv_.notify_one();
+        cv_.notify_one();
     }
     return fut;
 }
 
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock, [this] {
-        return pending_.load() == 0 && active_.load() == 0;
-    });
-}
-
-void
-ThreadPool::noteIdleIfDone()
-{
-    if (pending_.load() == 0 && active_.load() == 0) {
-        // Taking the mutex orders this notify after any waiter's
-        // predicate check, closing the lost-wakeup window.
-        std::lock_guard<std::mutex> lock(mutex_);
-        idleCv_.notify_all();
-    }
-}
-
 /**
- * Pop one task for worker @p self: own deque first (front — the
- * oldest dealt job, submission-order fair), then, in Steal mode only,
- * a stealing sweep of the siblings (back — the opposite end,
- * Chase–Lev style, so a thief and the owner only collide on a deque
- * holding one job).
+ * Pop one task for worker @p self in one sweep: the front of its own
+ * deque (the oldest dealt job, submission-order fair), else the back
+ * of the first loaded sibling's deque (the opposite end, Chase–Lev
+ * style, so a thief and the owner only collide on a deque holding one
+ * job).
  */
 bool
 ThreadPool::popTask(std::size_t self, std::packaged_task<void()>& task)
 {
-    WorkerQueue& own = *queues_[self];
-    {
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.jobs.empty()) {
-            task = std::move(own.jobs.front());
-            own.jobs.pop_front();
-            return true;
-        }
-    }
-    if (scheduling_ == Scheduling::Fifo)
-        return false;
     const std::size_t n = queues_.size();
-    for (std::size_t k = 1; k < n; ++k) {
-        WorkerQueue& victim = *queues_[(self + k) % n];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.jobs.empty()) {
-            task = std::move(victim.jobs.back());
-            victim.jobs.pop_back();
+    for (std::size_t k = 0; k < n; ++k) {
+        WorkerQueue& queue = *queues_[(self + k) % n];
+        std::lock_guard<std::mutex> lock(queue.mutex);
+        if (queue.jobs.empty())
+            continue;
+        if (k == 0) {
+            task = std::move(queue.jobs.front());
+            queue.jobs.pop_front();
+        } else {
+            task = std::move(queue.jobs.back());
+            queue.jobs.pop_back();
             steals_.fetch_add(1, std::memory_order_relaxed);
-            return true;
         }
+        return true;
     }
     return false;
-}
-
-bool
-ThreadPool::ownQueueEmpty(std::size_t self)
-{
-    WorkerQueue& own = *queues_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    return own.jobs.empty();
 }
 
 void
@@ -156,42 +96,19 @@ ThreadPool::workerLoop(std::size_t self)
     for (;;) {
         std::packaged_task<void()> task;
         if (popTask(self, task)) {
-            // active_ rises before pending_ falls, so the pair never
-            // reads all-zero while this task is in flight (waitIdle
-            // and the drain-exit check below both rely on that).
-            active_.fetch_add(1);
             pending_.fetch_sub(1);
             task();
-            active_.fetch_sub(1);
-            noteIdleIfDone();
             continue;
         }
         std::unique_lock<std::mutex> lock(mutex_);
-        if (scheduling_ == Scheduling::Steal) {
-            // A thief can run anything still pending, so only a fully
-            // drained pool lets a stopped worker exit.
-            if (pending_.load() == 0 && stop_)
-                return;
-            if (pending_.load() > 0)
-                continue; // a job landed (or is mid-claim): rescan
-            sleepers_.fetch_add(1);
-            cv_.wait(lock,
-                     [this] { return stop_ || pending_.load() > 0; });
-            sleepers_.fetch_sub(1);
-            continue;
-        }
-        // Static dealing: this worker can only ever run its own deque,
-        // so it sleeps on that deque alone — globally pending jobs on
-        // sibling deques are none of its business — and a stopped
-        // worker exits once its own deque has drained.
-        if (!ownQueueEmpty(self))
-            continue; // a job landed (or is mid-claim): rescan
-        if (stop_)
+        // Any worker can run anything still pending, so only a fully
+        // drained pool lets a stopped worker exit.
+        if (pending_.load() == 0 && stop_)
             return;
+        if (pending_.load() > 0)
+            continue; // a job landed (or is mid-claim): rescan
         sleepers_.fetch_add(1);
-        cv_.wait(lock, [this, self] {
-            return stop_ || !ownQueueEmpty(self);
-        });
+        cv_.wait(lock, [this] { return stop_ || pending_.load() > 0; });
         sleepers_.fetch_sub(1);
     }
 }

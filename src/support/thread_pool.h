@@ -12,26 +12,20 @@
  *
  * Jobs are dealt round-robin onto per-worker FIFO deques (replacing
  * the original single mutex-guarded queue, whose one lock every
- * submit and pop had to cross). Two scheduling modes differ only in
- * what an idle worker does:
+ * submit and pop had to cross). A worker runs its own deque from the
+ * front; once that is empty it raids the back of a loaded sibling's
+ * deque (Chase–Lev ends: owner front, thief back, so they only collide
+ * on a deque holding one job), so uneven job latencies never convoy
+ * behind the unluckiest worker. The deques are mutex-per-deque rather
+ * than lock-free — honest about what it is, trivially TSan-clean, and
+ * each lock is touched by 1/N of the traffic the old global queue's
+ * was.
  *
- *  - Fifo: static dealing. Each job runs on the worker it was dealt
- *    to, in submission order for that worker. An idle worker sleeps
- *    even while a sibling's deque is loaded, so uneven job latencies
- *    convoy behind the unluckiest worker — kept as the ablation
- *    baseline that shows what stealing buys.
- *  - Steal (the default): same dealing, but a worker whose own deque
- *    is empty raids the back of a loaded sibling's deque (Chase–Lev
- *    ends: owner front, thief back, so they only collide on a deque
- *    holding one job). The deques are mutex-per-deque rather than
- *    lock-free — honest about what it is, trivially TSan-clean, and
- *    each lock is touched by 1/N of the traffic the old global
- *    queue's was.
- *
- * Result order never depends on the mode: submit() returns a future
- * per job, and callers that need deterministic aggregation (e.g.
- * evaluateBatch's commit-in-submission-order rule) impose it when they
- * harvest the futures.
+ * Result order never depends on which worker ran a job: submit()
+ * returns a future per job, and callers that need deterministic
+ * aggregation (e.g. evaluateBatch's commit-in-submission-order rule)
+ * impose it when they harvest the futures. The destructor runs every
+ * queued job, then joins the workers.
  */
 
 #include <atomic>
@@ -50,23 +44,10 @@ namespace hpcmixp::support {
 /** A fixed-size pool of worker threads executing queued jobs. */
 class ThreadPool {
   public:
-    /** What happens to still-queued jobs when the pool shuts down. */
-    enum class Shutdown {
-        Drain,  ///< run every queued job to completion, then join
-        Cancel, ///< drop queued jobs (their futures break), then join
-    };
-
-    /** How queued jobs are distributed to workers (file comment). */
-    enum class Scheduling {
-        Fifo,  ///< static round-robin dealing, no stealing
-        Steal, ///< same dealing plus work stealing (default)
-    };
-
     /** Start @p workers threads (0 means hardware concurrency). */
-    explicit ThreadPool(std::size_t workers,
-                        Scheduling scheduling = Scheduling::Steal);
+    explicit ThreadPool(std::size_t workers);
 
-    /** Equivalent to shutdown(Shutdown::Drain). */
+    /** Run every queued job to completion, then join the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -75,29 +56,11 @@ class ThreadPool {
     /** Enqueue a job; the future resolves when it completes. */
     std::future<void> submit(std::function<void()> job);
 
-    /** Block until the queue is empty and all workers are idle. */
-    void waitIdle();
-
-    /**
-     * Stop the pool and join all workers. Drain runs every queued job
-     * first; Cancel discards queued (not yet started) jobs, whose
-     * futures then throw std::future_error(broken_promise). Jobs
-     * already running always finish. Idempotent; submit() after
-     * shutdown is a programming error.
-     */
-    void shutdown(Shutdown mode);
-
-    /** Number of worker threads (0 once shut down). */
+    /** Number of worker threads. */
     std::size_t workerCount() const { return threads_.size(); }
 
-    /** Jobs discarded by a Cancel shutdown. */
-    std::size_t cancelledCount() const { return cancelled_; }
-
-    /** The scheduling mode this pool was built with. */
-    Scheduling scheduling() const { return scheduling_; }
-
     /** Jobs executed by a thread other than the one whose deque they
-     *  were dealt to (always 0 under Fifo). */
+     *  were dealt to. */
     std::size_t stealCount() const
     {
         return steals_.load(std::memory_order_relaxed);
@@ -112,22 +75,16 @@ class ThreadPool {
 
     void workerLoop(std::size_t self);
     bool popTask(std::size_t self, std::packaged_task<void()>& task);
-    bool ownQueueEmpty(std::size_t self);
-    void noteIdleIfDone();
 
-    const Scheduling scheduling_;
     std::vector<std::thread> threads_;
     std::vector<std::unique_ptr<WorkerQueue>> queues_;
 
-    std::mutex mutex_; ///< stop flag, sleep/wake, idle tracking
+    std::mutex mutex_; ///< stop flag, sleep/wake
     std::condition_variable cv_;
-    std::condition_variable idleCv_;
     std::atomic<std::size_t> pending_{0}; ///< queued, not yet started
-    std::atomic<std::size_t> active_{0};  ///< currently running
     std::atomic<std::size_t> sleepers_{0}; ///< workers waiting on cv_
     std::atomic<std::size_t> steals_{0};
     std::atomic<std::size_t> nextQueue_{0}; ///< round-robin dealer
-    std::size_t cancelled_ = 0;
     /// Written under mutex_; atomic so the lock-free submit fast path
     /// and sleep predicates may read it without the lock.
     std::atomic<bool> stop_{false};

@@ -494,6 +494,44 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
     EXPECT_EQ(memo->size(), 4u);
 }
 
+TEST(MemoSearch, SerialBatchSeesEntriesPublishedMidBatch)
+{
+    // A portfolio entrant sharing the table publishes {1} while this
+    // context evaluates {2}. The serial batch planned {1} as fresh, so
+    // it must look at the table again before executing it.
+    class PublishingProblem : public CountingProblem {
+      public:
+        explicit PublishingProblem(std::shared_ptr<MemoTable> memo)
+            : CountingProblem(4), memo_(std::move(memo))
+        {
+        }
+
+        Evaluation
+        evaluate(const Config& config) override
+        {
+            if (config == Config::withLowered(4, {2}))
+                memo_->publish(Config::withLowered(4, {1}).toString(),
+                               passEval(1.1));
+            return CountingProblem::evaluate(config);
+        }
+
+      private:
+        std::shared_ptr<MemoTable> memo_;
+    };
+
+    auto memo = std::make_shared<MemoTable>(
+        freshPath("memo_mid_batch.log"), testFingerprint(4));
+    PublishingProblem problem(memo);
+    SearchContext ctx(problem, {100, 0.0});
+    ctx.setMemo(memo);
+    std::vector<Config> batch = {Config::withLowered(4, {2}),
+                                 Config::withLowered(4, {1})};
+    ctx.evaluateBatch(batch);
+    EXPECT_EQ(problem.rawCalls_.load(), 1);
+    EXPECT_EQ(ctx.counters().evaluated, 1u);
+    EXPECT_EQ(ctx.counters().memoHits, 1u);
+}
+
 // --- MemoStore -------------------------------------------------------
 
 TEST(MemoStore, SharesOneTablePerFingerprint)

@@ -317,19 +317,19 @@ class UnevenLatencyProblem : public RandomProblem {
 };
 
 /**
- * The stealing scheduler is a pure throughput optimization: a batch
- * with wildly uneven per-item latencies must commit bit-identical
- * evaluations in both scheduling modes — commit order follows
- * submission order, never completion order.
+ * The stealing pool is a pure throughput optimization: a batch with
+ * wildly uneven per-item latencies must commit bit-identical
+ * evaluations on four stealing workers and on one (the serial
+ * reference) — commit order follows submission order, never
+ * completion order. (The name predates the removal of the FIFO pool
+ * schedule, once the reference here.)
  */
 TEST_P(SearchProperty, StealSchedulingMatchesFifoBitIdentically)
 {
-    auto runWith = [&](SearchContext::BatchScheduling mode,
-                       std::vector<Evaluation>& evals) {
+    auto runWith = [&](std::size_t jobs, std::vector<Evaluation>& evals) {
         UnevenLatencyProblem problem(10, GetParam());
         SearchContext ctx(problem, bigBudget(), ResiliencePolicy{});
-        ctx.setSearchJobs(4);
-        ctx.setBatchScheduling(mode);
+        ctx.setSearchJobs(jobs);
 
         std::vector<Config> batch;
         Pcg32 rng(GetParam() * 0x9e3779b9u + 17);
@@ -344,23 +344,21 @@ TEST_P(SearchProperty, StealSchedulingMatchesFifoBitIdentically)
         return canonicalCache(ctx.exportCache());
     };
 
-    std::vector<Evaluation> stealEvals, fifoEvals;
-    auto stealCache =
-        runWith(SearchContext::BatchScheduling::Steal, stealEvals);
-    auto fifoCache =
-        runWith(SearchContext::BatchScheduling::Fifo, fifoEvals);
+    std::vector<Evaluation> stealEvals, serialEvals;
+    auto stealCache = runWith(4, stealEvals);
+    auto serialCache = runWith(1, serialEvals);
 
-    ASSERT_EQ(stealEvals.size(), fifoEvals.size());
+    ASSERT_EQ(stealEvals.size(), serialEvals.size());
     for (std::size_t i = 0; i < stealEvals.size(); ++i) {
-        EXPECT_EQ(stealEvals[i].status, fifoEvals[i].status) << i;
-        EXPECT_EQ(stealEvals[i].speedup, fifoEvals[i].speedup) << i;
+        EXPECT_EQ(stealEvals[i].status, serialEvals[i].status) << i;
+        EXPECT_EQ(stealEvals[i].speedup, serialEvals[i].speedup) << i;
         EXPECT_EQ(stealEvals[i].runtimeSeconds,
-                  fifoEvals[i].runtimeSeconds)
+                  serialEvals[i].runtimeSeconds)
             << i;
-        EXPECT_EQ(stealEvals[i].qualityLoss, fifoEvals[i].qualityLoss)
+        EXPECT_EQ(stealEvals[i].qualityLoss, serialEvals[i].qualityLoss)
             << i;
     }
-    EXPECT_EQ(stealCache, fifoCache);
+    EXPECT_EQ(stealCache, serialCache);
 }
 
 /** A deliberately lopsided batch: the slow item lands in one worker's
@@ -389,8 +387,6 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
     SearchContext ctx(problem, SearchBudget{1000000, 0.0},
                       ResiliencePolicy{});
     ctx.setSearchJobs(4);
-    ASSERT_EQ(ctx.batchScheduling(),
-              SearchContext::BatchScheduling::Steal);
 
     std::vector<Config> batch;
     Config slow(6);

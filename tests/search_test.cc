@@ -245,6 +245,11 @@ TEST(BatchEvaluate, BudgetCutsTheBatchAtTheSerialPoint)
         // Exactly the serial prefix committed; the speculative tail
         // left no trace in EV, cache, or best.
         EXPECT_EQ(ctx.counters().evaluated, 3u) << "jobs=" << jobs;
+        if (jobs == 1) {
+            // One worker runs each candidate at its commit: nothing
+            // executes speculatively past the budget.
+            EXPECT_EQ(problem.rawCalls(), 3);
+        }
         EXPECT_TRUE(ctx.isCached(Config::withLowered(8, {2})));
         EXPECT_FALSE(ctx.isCached(Config::withLowered(8, {3})));
         EXPECT_TRUE(ctx.exhausted());

@@ -295,119 +295,41 @@ TEST(ThreadPool, RunsAllJobs)
     EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDrained)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 16; ++i)
-        pool.submit([&] { ++count; });
-    pool.waitIdle();
-    EXPECT_EQ(count.load(), 16);
-}
-
 TEST(ThreadPool, ZeroMeansHardwareConcurrency)
 {
     ThreadPool pool(0);
     EXPECT_GE(pool.workerCount(), 1u);
 }
 
-TEST(ThreadPool, DrainShutdownRunsQueuedJobs)
+TEST(ThreadPool, DestructorRunsQueuedJobs)
 {
-    ThreadPool pool(1);
     std::atomic<int> count{0};
-    std::atomic<bool> started{false};
     std::promise<void> gate;
     std::shared_future<void> opened = gate.get_future().share();
+    std::thread releaser;
+    {
+        ThreadPool pool(1);
+        std::atomic<bool> started{false};
 
-    // The single worker blocks on the gate, so the next 8 jobs are
-    // guaranteed to still be queued when shutdown begins.
-    pool.submit([&, opened] {
-        started = true;
-        opened.wait();
-        ++count;
-    });
-    while (!started)
-        std::this_thread::yield();
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&] { ++count; });
+        // The single worker blocks on the gate, so the next 8 jobs are
+        // guaranteed to still be queued when the destructor begins.
+        pool.submit([&, opened] {
+            started = true;
+            opened.wait();
+            ++count;
+        });
+        while (!started)
+            std::this_thread::yield();
+        for (int i = 0; i < 8; ++i)
+            pool.submit([&] { ++count; });
 
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        gate.set_value();
-    });
-    pool.shutdown(ThreadPool::Shutdown::Drain);
+        releaser = std::thread([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            gate.set_value();
+        });
+    }
     releaser.join();
-
     EXPECT_EQ(count.load(), 9); // every queued job still ran
-    EXPECT_EQ(pool.cancelledCount(), 0u);
-    EXPECT_EQ(pool.workerCount(), 0u);
-}
-
-TEST(ThreadPool, CancelShutdownDropsQueuedJobsAndBreaksFutures)
-{
-    ThreadPool pool(1);
-    std::atomic<int> count{0};
-    std::atomic<bool> started{false};
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-
-    auto running = pool.submit([&, opened] {
-        started = true;
-        opened.wait();
-        ++count;
-    });
-    while (!started)
-        std::this_thread::yield();
-    std::vector<std::future<void>> queued;
-    for (int i = 0; i < 8; ++i)
-        queued.push_back(pool.submit([&] { ++count; }));
-
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        gate.set_value();
-    });
-    pool.shutdown(ThreadPool::Shutdown::Cancel);
-    releaser.join();
-
-    // The in-flight job always completes; the queued ones were
-    // dropped and their futures broken rather than left hanging.
-    EXPECT_EQ(count.load(), 1);
-    EXPECT_EQ(pool.cancelledCount(), 8u);
-    running.get();
-    for (auto& f : queued)
-        EXPECT_THROW(f.get(), std::future_error);
-}
-
-TEST(ThreadPool, ShutdownIsIdempotent)
-{
-    ThreadPool pool(2);
-    pool.submit([] {}).get();
-    pool.shutdown(ThreadPool::Shutdown::Drain);
-    pool.shutdown(ThreadPool::Shutdown::Cancel); // no-op after the first
-    EXPECT_EQ(pool.workerCount(), 0u);
-    EXPECT_EQ(pool.cancelledCount(), 0u);
-}
-
-TEST(ThreadPool, DefaultsToStealScheduling)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.scheduling(), ThreadPool::Scheduling::Steal);
-    ThreadPool fifo(2, ThreadPool::Scheduling::Fifo);
-    EXPECT_EQ(fifo.scheduling(), ThreadPool::Scheduling::Fifo);
-    EXPECT_EQ(fifo.stealCount(), 0u);
-}
-
-TEST(ThreadPool, FifoModeRunsAllJobsWithoutSteals)
-{
-    ThreadPool pool(4, ThreadPool::Scheduling::Fifo);
-    std::atomic<int> count{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 64; ++i)
-        futs.push_back(pool.submit([&] { ++count; }));
-    for (auto& f : futs)
-        f.get();
-    EXPECT_EQ(count.load(), 64);
-    EXPECT_EQ(pool.stealCount(), 0u);
 }
 
 TEST(ThreadPool, UnevenLoadTriggersSteals)
@@ -440,74 +362,6 @@ TEST(ThreadPool, UnevenLoadTriggersSteals)
         f.get();
     EXPECT_EQ(count.load(), 32);
 }
-
-TEST(ThreadPool, StealModeDrainShutdownRunsQueuedJobs)
-{
-    ThreadPool pool(1);
-    std::atomic<int> count{0};
-    std::atomic<bool> started{false};
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-
-    pool.submit([&, opened] {
-        started = true;
-        opened.wait();
-        ++count;
-    });
-    while (!started)
-        std::this_thread::yield();
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&] { ++count; });
-
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        gate.set_value();
-    });
-    pool.shutdown(ThreadPool::Shutdown::Drain);
-    releaser.join();
-
-    EXPECT_EQ(count.load(), 9);
-    EXPECT_EQ(pool.cancelledCount(), 0u);
-}
-
-TEST(ThreadPool, StealModeCancelDropsQueuedJobsFromEveryDeque)
-{
-    ThreadPool pool(2);
-    std::atomic<int> startedCount{0};
-    std::atomic<int> count{0};
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-
-    // Block both workers so every further submit stays queued in one
-    // of the per-worker deques.
-    std::vector<std::future<void>> running;
-    for (int i = 0; i < 2; ++i)
-        running.push_back(pool.submit([&, opened] {
-            ++startedCount;
-            opened.wait();
-            ++count;
-        }));
-    while (startedCount.load() < 2)
-        std::this_thread::yield();
-    std::vector<std::future<void>> queued;
-    for (int i = 0; i < 8; ++i)
-        queued.push_back(pool.submit([&] { ++count; }));
-
-    std::thread releaser([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        gate.set_value();
-    });
-    pool.shutdown(ThreadPool::Shutdown::Cancel);
-    releaser.join();
-
-    EXPECT_EQ(count.load(), 2);
-    EXPECT_EQ(pool.cancelledCount(), 8u);
-    for (auto& f : running)
-        f.get();
-    for (auto& f : queued)
-        EXPECT_THROW(f.get(), std::future_error);
-}
-
 
 // ---- stats --------------------------------------------------------------
 
