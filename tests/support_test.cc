@@ -301,7 +301,7 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency)
     EXPECT_GE(pool.workerCount(), 1u);
 }
 
-TEST(ThreadPool, DestructorRunsQueuedJobs)
+TEST(ThreadPool, DrainShutdownRunsQueuedJobs)
 {
     std::atomic<int> count{0};
     std::promise<void> gate;
@@ -330,6 +330,38 @@ TEST(ThreadPool, DestructorRunsQueuedJobs)
     }
     releaser.join();
     EXPECT_EQ(count.load(), 9); // every queued job still ran
+}
+
+TEST(ThreadPool, StealModeDrainShutdownRunsQueuedJobs)
+{
+    std::atomic<int> count{0};
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    std::thread releaser;
+    {
+        ThreadPool pool(2);
+        std::atomic<int> startedCount{0};
+
+        // Block both workers so the next 8 jobs stay queued, dealt
+        // across both per-worker deques, when the destructor begins.
+        for (int i = 0; i < 2; ++i)
+            pool.submit([&, opened] {
+                ++startedCount;
+                opened.wait();
+                ++count;
+            });
+        while (startedCount.load() < 2)
+            std::this_thread::yield();
+        for (int i = 0; i < 8; ++i)
+            pool.submit([&] { ++count; });
+
+        releaser = std::thread([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            gate.set_value();
+        });
+    }
+    releaser.join();
+    EXPECT_EQ(count.load(), 10); // every deque was drained
 }
 
 TEST(ThreadPool, UnevenLoadTriggersSteals)
