@@ -203,6 +203,9 @@ main(int argc, char** argv)
         pf.configNoWorse =
             best.clusterConfig == bestSingleConfig;
         if (!pf.configNoWorse) {
+            // Detached, so neither final is read from the finals table
+            // the portfolio filled.
+            tuner->setMemoStore(nullptr);
             search::Evaluation winnerEval =
                 tuner->finalMeasure(best.clusterConfig);
             search::Evaluation soloEval =

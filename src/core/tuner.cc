@@ -138,6 +138,13 @@ struct PoolJobHeader {
     std::uint32_t pad = 0;
 };
 
+/** Reps of each side of a final measurement; zero means one. */
+std::size_t
+finalRepCount(const TunerOptions& options)
+{
+    return std::max<std::size_t>(options.finalReps, 1);
+}
+
 } // namespace
 
 /**
@@ -555,6 +562,17 @@ BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
     return classify(outcome, payload);
 }
 
+/** @p cfg with every cold cluster at double: its precision map. */
+Config
+BenchmarkTuner::hotProjection(const Config& cfg) const
+{
+    Config hot(cfg.size());
+    for (std::size_t c = 0; c < cfg.size(); ++c)
+        if (hotClusters_[c])
+            hot.setLevel(c, cfg.level(c));
+    return hot;
+}
+
 /**
  * The executable @p cfg runs: its precision map, which only hot
  * clusters reach, plus whether it executes refined. The refinement
@@ -565,11 +583,7 @@ BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
 std::string
 BenchmarkTuner::executableKey(const Config& cfg) const
 {
-    Config hot(cfg.size());
-    for (std::size_t c = 0; c < cfg.size(); ++c)
-        if (hotClusters_[c])
-            hot.setLevel(c, cfg.level(c));
-    std::string key = hot.toString();
+    std::string key = hotProjection(cfg).toString();
     if (useRefinement(cfg))
         key += "+ir";
     return key;
@@ -769,8 +783,66 @@ BenchmarkTuner::sandboxStats() const
     return stats;
 }
 
+/**
+ * The final measurement of one executable, shared through the memo
+ * store's finals table: keyed by the hot projection (one digit per
+ * cluster, as the table loader requires) in the table of the
+ * executable's refinement flag. The all-double executable is the
+ * baseline itself, so execute determinism makes its output the
+ * reference and its speedup 1; it is not timed.
+ */
 Evaluation
 BenchmarkTuner::finalMeasure(const Config& cfg)
+{
+    const bool refined = useRefinement(cfg);
+    const Config hot = hotProjection(cfg);
+    const std::string prefix =
+        support::strCat(benchmark_.name(), ": final ", cfg.toString());
+    if (!refined && hot.isBaseline()) {
+        support::inform(
+            prefix + " runs the baseline executable: speedup 1");
+        Evaluation eval;
+        eval.status = EvalStatus::Pass;
+        eval.runtimeSeconds = baselineSeconds_;
+        eval.speedup = 1.0;
+        return eval;
+    }
+
+    std::shared_ptr<search::MemoTable> table;
+    if (options_.memoStore)
+        table = options_.memoStore->table(finalsFingerprint(refined));
+    const std::string key = hot.toString();
+    std::optional<Evaluation> stored =
+        table ? table->lookup(key) : std::nullopt;
+    const bool measured = !stored;
+    if (measured) {
+        stored = measureFinal(cfg, refined);
+        if (stored->status == EvalStatus::RuntimeFail) {
+            support::inform(prefix + " failed at runtime");
+            return *stored;
+        }
+        // The first publisher wins; a tuner that lost the race reports
+        // the stored measurement, as runBaseline() does.
+        if (table && !table->publish(key, *stored))
+            stored = table->lookup(key);
+    }
+    support::inform(support::strCat(
+        prefix, " ", search::evalStatusName(stored->status),
+        " at speedup ", stored->speedup, " ",
+        measured ? support::strCat("measured over ",
+                                   finalRepCount(options_), " pairs")
+                 : std::string("read from the memo store")));
+    return *stored;
+}
+
+/**
+ * The paper's final protocol, unchanged for the one measurement a
+ * finals-table miss takes: finalReps baseline and configuration
+ * executes, interleaved, and the ratio of their trimmed means. A
+ * thrown prepare or execute is a RuntimeFail.
+ */
+Evaluation
+BenchmarkTuner::measureFinal(const Config& cfg, bool refined) const
 {
     Evaluation eval;
     PrecisionMap pm = precisionMapFor(cfg);
@@ -781,10 +853,9 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     // the verification output comes from the last timed tuned rep,
     // so no kept output outlives a timed rep (see timeExecutes()).
     benchmarks::RunOutput output;
-    std::size_t reps = std::max<std::size_t>(options_.finalReps, 1);
+    const std::size_t reps = finalRepCount(options_);
     std::vector<double> baseSamples;
     std::vector<double> cfgSamples;
-    const bool refined = useRefinement(cfg);
     try {
         benchmarks::RunPlan cfgPlan = benchmark_.prepare(pm);
         benchmarks::RunPlan basePlan = benchmark_.prepare(allDouble);
@@ -946,6 +1017,18 @@ BenchmarkTuner::baselineFingerprint() const
     return fp;
 }
 
+search::MemoFingerprint
+BenchmarkTuner::finalsFingerprint(bool refined) const
+{
+    search::MemoFingerprint fp = fingerprint(search::Granularity::Cluster);
+    // The stored verdict depends on metric and threshold, the key's
+    // digits on the ladder, and the speedup on the rep count.
+    fp.ladder = support::strCat(
+        options_.ladder.describe(), refined ? "+ir" : "", "/final",
+        finalRepCount(options_));
+    return fp;
+}
+
 search::SearchRunOptions
 BenchmarkTuner::runOptionsFor(search::Granularity granularity)
 {
@@ -1043,15 +1126,38 @@ BenchmarkTuner::tunePortfolio(
     // Speedups measured *during* the race are contention-inflated
     // (entrants time-share the machine with each other), so they only
     // rank configs within the race. The authoritative winner is picked
-    // by re-measuring each entrant's best configuration with the
-    // serial final protocol; ties break deterministically on the
-    // smaller bitmask, then entrant order.
+    // by re-measuring each entrant's best executable with the serial
+    // final protocol; ties break deterministically on the smaller
+    // bitmask, then entrant order. Configurations of one executable
+    // share one final measurement, and the one with the fewest lowered
+    // sites, then the smaller key, represents them: timing them again
+    // would only pick among equals by noise.
     struct Candidate {
         std::size_t entrant;
+        std::string executable;
         search::Config cluster;
         Evaluation final;
     };
     std::vector<Candidate> candidates;
+    // True when @p cluster runs an executable no candidate runs yet,
+    // which is then final-measured.
+    auto admit = [&](std::size_t entrant, search::Config cluster) {
+        std::string executable = executableKey(cluster);
+        for (Candidate& seen : candidates) {
+            if (seen.executable != executable)
+                continue;
+            if (std::pair(cluster.count(), cluster.toString()) <
+                std::pair(seen.cluster.count(), seen.cluster.toString())) {
+                seen.entrant = entrant;
+                seen.cluster = std::move(cluster);
+            }
+            return false;
+        }
+        Evaluation final = finalMeasure(cluster);
+        candidates.push_back(
+            {entrant, std::move(executable), std::move(cluster), final});
+        return true;
+    };
     for (std::size_t i = 0; i < entrants.size(); ++i) {
         const search::SearchResult& result =
             outcome.portfolio.results[i];
@@ -1059,17 +1165,8 @@ BenchmarkTuner::tunePortfolio(
             continue;
         bool variableLevel = entrants[i].strategy->granularity() ==
                              search::Granularity::Variable;
-        search::Config cluster = variableLevel
-                                     ? toClusterConfig(result.best)
-                                     : result.best;
-        bool duplicate = false;
-        for (const Candidate& seen : candidates)
-            duplicate = duplicate || seen.cluster == cluster;
-        if (duplicate)
-            continue;
-        Candidate candidate{i, std::move(cluster), {}};
-        candidate.final = finalMeasure(candidate.cluster);
-        candidates.push_back(std::move(candidate));
+        admit(i, variableLevel ? toClusterConfig(result.best)
+                               : result.best);
     }
 
     // The entrant bests alone can miss the true optimum: under
@@ -1079,8 +1176,9 @@ BenchmarkTuner::tunePortfolio(
     // top few passing entries join the candidate set. (The variable
     // table is skipped: its bitmasks only reduce to cluster configs
     // when cluster-uniform.) Entrant bests precede pool entries, so a
-    // pool entry only wins on a strictly better re-measurement. The
-    // cap bounds the number of extra serial final measurements; it is
+    // pool entry of a new executable only wins on a strictly better
+    // re-measurement. The
+    // cap bounds the number of extra executables final-measured; it is
     // sized to cover a small cluster space outright, because the
     // in-race ranking that orders the pool is itself noisy.
     constexpr std::size_t kPoolCandidates = 6;
@@ -1103,19 +1201,9 @@ BenchmarkTuner::tunePortfolio(
             // in-race runtimes are contention-inflated against the
             // clean baseline, so even the true optimum can carry a
             // sub-1.0 stored speedup.
-            if (!eval.passed() || key.size() != clusterCount())
-                continue;
-            search::Config cluster = search::Config::fromString(key);
-            bool duplicate = false;
-            for (const Candidate& seen : candidates)
-                duplicate = duplicate || seen.cluster == cluster;
-            if (duplicate)
-                continue;
-            Candidate candidate{entrants.size(), std::move(cluster),
-                                {}};
-            candidate.final = finalMeasure(candidate.cluster);
-            candidates.push_back(std::move(candidate));
-            ++taken;
+            if (eval.passed() && key.size() == clusterCount() &&
+                admit(entrants.size(), search::Config::fromString(key)))
+                ++taken;
         }
     }
 

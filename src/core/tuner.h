@@ -17,7 +17,8 @@
  *     failures for cluster-splitting choices; CB/DD/GA search
  *     clusters),
  *  4. runs any registered strategy and re-times the winning
- *     configuration with the paper's 10-run trimmed-mean protocol.
+ *     configuration's executable with the paper's 10-run trimmed-mean
+ *     protocol, once per memo store.
  */
 
 #include <memory>
@@ -99,8 +100,10 @@ struct TunerOptions {
     /**
      * Persistent cross-run memo-cache (harness --memo-cache). When
      * set, every search consults the benchmark-fingerprinted table
-     * before executing a configuration and publishes what it ran;
-     * null keeps evaluation purely in-process.
+     * before executing a configuration and publishes what it ran, and
+     * the baseline runtime and each executable's final measurement
+     * are read from (or published to) their own tables; null keeps
+     * evaluation purely in-process.
      */
     std::shared_ptr<search::MemoStore> memoStore;
 
@@ -193,9 +196,11 @@ struct TuneOutcome {
  * configuration — plus the top passing entries of the shared
  * cluster-level memo table, which catch optima an entrant executed
  * but misranked under contention — with the serial final protocol,
- * the authoritative comparison. `winnerCode` is "pool" when the
- * returned configuration came from the shared table rather than any
- * entrant's pick.
+ * the authoritative comparison, once per executable. Among
+ * configurations of one executable the one with the fewest lowered
+ * sites, then the smaller key, is returned. `winnerCode` is "pool"
+ * when the returned configuration came from the shared table rather
+ * than any entrant's pick.
  */
 struct PortfolioOutcome {
     search::PortfolioResult portfolio; ///< per-strategy results + winner
@@ -289,6 +294,16 @@ class BenchmarkTuner {
     search::MemoFingerprint baselineFingerprint() const;
 
     /**
+     * The fingerprint of the memo store's finals table for executables
+     * that run refined (@p refined) or plain: the cluster-level
+     * fingerprint with the ladder field extended by the refinement
+     * flag and the final protocol's rep count ("f64:f32/final10",
+     * "f64:f32+ir/final10"). Its records are keyed by the hot-cluster
+     * projection alone, so every key has one digit per cluster.
+     */
+    search::MemoFingerprint finalsFingerprint(bool refined) const;
+
+    /**
      * Search-run wiring for one granularity: resilience, parallelism,
      * the static prior and, when a memo store is configured, the
      * fingerprinted memo table.
@@ -323,10 +338,16 @@ class BenchmarkTuner {
     std::vector<pid_t> poolWorkerPids() const;
 
     /**
-     * Final measurement: interleaves finalReps baseline runs with
-     * finalReps configuration runs (alternating) and reports the
-     * ratio of trimmed means. Interleaving cancels the clock drift a
-     * one-shot baseline measurement would bake into every speedup.
+     * Final measurement of the executable @p cfg runs: interleaves
+     * finalReps baseline runs with finalReps configuration runs
+     * (alternating) and reports the ratio of trimmed means.
+     * Interleaving cancels the clock drift a one-shot baseline
+     * measurement would bake into every speedup. With a memo store,
+     * the finals table (finalsFingerprint()) is read first and a hit
+     * times nothing; a clean Pass or QualityFail measurement is
+     * published, and the first publisher wins. A configuration whose
+     * executable is the all-double baseline's is not timed: Pass at
+     * speedup 1 and loss 0, runtime baselineSeconds().
      */
     search::Evaluation finalMeasure(const search::Config& cfg);
 
@@ -385,7 +406,10 @@ class BenchmarkTuner {
     std::uint8_t varLevel(const search::Config& varCfg,
                           model::VarId var) const;
     bool useRefinement(const search::Config& cfg) const;
+    search::Config hotProjection(const search::Config& cfg) const;
     std::string executableKey(const search::Config& cfg) const;
+    search::Evaluation measureFinal(const search::Config& cfg,
+                                    bool refined) const;
     search::Evaluation evaluateSearchConfig(const search::Config& cfg);
     benchmarks::RunOutput executeForConfig(
         const benchmarks::RunPlan& plan, runtime::RunWorkspace& ws,

@@ -10,11 +10,13 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +200,7 @@ class RefinableGhostBenchmark final : public benchmarks::Benchmark {
     benchmarks::RunOutput
     run(const benchmarks::PrecisionMap& pm) const override
     {
+        ++executes;
         benchmarks::RunOutput out;
         out.values.assign(16, 1.0);
         if (pm.get("data") == runtime::Precision::Float32)
@@ -214,6 +217,8 @@ class RefinableGhostBenchmark final : public benchmarks::Benchmark {
         out.values[1] += 1.0;
         return out;
     }
+
+    mutable std::atomic<int> executes{0};
 
   private:
     model::ProgramModel model_;
@@ -244,6 +249,50 @@ TEST(ExecutableTable, RefinedColdOnlyConfigIsNotServedTheBaseline)
     Evaluation refined = tuner.clusterProblem().evaluate(coldOnly);
     EXPECT_EQ(refined.status, EvalStatus::QualityFail);
     EXPECT_EQ(tuner.executableCount(), 2u);
+}
+
+TEST(ExecutableTable, ColdOnlyWinnerRunsTheBaselineExecutable)
+{
+    auto bench = make("hotspot");
+    BenchmarkTuner tuner(*bench, fastOptions());
+    auto cold = clustersWhere(tuner, false);
+    ASSERT_GE(cold.size(), 2u);
+
+    // Its output is the reference bit for bit, so nothing is timed.
+    Config coldOnly(tuner.clusterCount());
+    coldOnly.set(cold[0]);
+    coldOnly.set(cold[1]);
+    Evaluation final = tuner.finalMeasure(coldOnly);
+    EXPECT_EQ(final.status, EvalStatus::Pass);
+    EXPECT_EQ(final.speedup, 1.0);
+    EXPECT_EQ(final.qualityLoss, 0.0);
+
+    // A hot cluster makes it a different executable, timed afresh.
+    Config hot = coldOnly;
+    hot.set(clustersWhere(tuner, true)[0]);
+    EXPECT_NE(tuner.finalMeasure(hot).speedup, 1.0);
+}
+
+TEST(ExecutableTable, RefinedColdOnlyWinnerIsStillMeasured)
+{
+    RefinableGhostBenchmark bench;
+    TunerOptions opt = fastOptions();
+    opt.metric = "MAE";
+    opt.refine = true;
+    BenchmarkTuner tuner(bench, opt);
+    auto cold = clustersWhere(tuner, false);
+    ASSERT_EQ(cold.size(), 1u);
+
+    // Lowering only the cold cluster runs refined on the all-double
+    // map, which is not the baseline executable: it is measured, and
+    // the refined execute's mark fails verification.
+    Config coldOnly(tuner.clusterCount());
+    coldOnly.set(cold[0]);
+    const int before = bench.executes;
+    Evaluation final = tuner.finalMeasure(coldOnly);
+    EXPECT_EQ(bench.executes - before, 2 * static_cast<int>(opt.finalReps));
+    EXPECT_EQ(final.status, EvalStatus::QualityFail);
+    EXPECT_GT(final.qualityLoss, 0.0);
 }
 
 /** A capture's cache reduced to its timing-independent fields. */
@@ -619,6 +668,310 @@ TEST(BaselineRecord, ConcurrentTunersEndWithOneValue)
     EXPECT_EQ(table->size(), 1u);
     EXPECT_EQ(tuner.baselineSeconds(), seconds.front());
     std::filesystem::remove_all(dir);
+}
+
+// --- Finals table ----------------------------------------------------
+
+/** Executes @p bench runs for one final measurement of @p cfg. */
+template <class Bench>
+int
+finalExecutes(const Bench& bench, BenchmarkTuner& tuner, const Config& cfg,
+              Evaluation* out = nullptr)
+{
+    int before = bench.executes;
+    Evaluation eval = tuner.finalMeasure(cfg);
+    if (out)
+        *out = eval;
+    return bench.executes - before;
+}
+
+Config
+lowered(const BenchmarkTuner& tuner)
+{
+    return Config::allLowered(tuner.clusterCount());
+}
+
+TEST(FinalsTable, SecondTunerOnTheStoreExecutesNothing)
+{
+    std::string dir = freshDir("finals_second");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    BenchmarkTuner first(bench, opt);
+    BenchmarkTuner second(bench, opt);
+    Evaluation measured;
+    Evaluation read;
+    EXPECT_EQ(finalExecutes(bench, first, lowered(first), &measured),
+              2 * static_cast<int>(opt.finalReps));
+    EXPECT_EQ(finalExecutes(bench, second, lowered(second), &read), 0);
+    EXPECT_EQ(measured.status, EvalStatus::Pass);
+    expectSameEvaluation(read, measured);
+    EXPECT_EQ(read.memoizable, measured.memoizable);
+    EXPECT_EQ(read.deadlineMiss, measured.deadlineMiss);
+
+    // One record, keyed by the hot projection, in a table of its own.
+    auto table = opt.memoStore->table(first.finalsFingerprint(false));
+    EXPECT_EQ(table->size(), 1u);
+    EXPECT_NE(first.finalsFingerprint(false),
+              first.fingerprint(search::Granularity::Cluster));
+    EXPECT_NE(first.finalsFingerprint(false), first.baselineFingerprint());
+    EXPECT_NE(first.finalsFingerprint(false), first.finalsFingerprint(true));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FinalsTable, ConfigurationsOfOneExecutableShareTheStoredFinal)
+{
+    std::string dir = freshDir("finals_hotspot");
+    TunerOptions opt = fastOptions();
+    opt.memoStore = std::make_shared<search::MemoStore>(dir);
+    auto bench = make("hotspot");
+    BenchmarkTuner first(*bench, opt);
+    BenchmarkTuner second(*bench, opt);
+    auto hot = clustersWhere(first, true);
+    auto cold = clustersWhere(first, false);
+    Config a(first.clusterCount());
+    a.set(hot[0]);
+    Config b = a;
+    for (std::size_t c : cold)
+        b.set(c);
+    // A wall-clock runtime repeats to the bit only when it is read back.
+    expectSameEvaluation(second.finalMeasure(b), first.finalMeasure(a));
+    EXPECT_EQ(opt.memoStore->table(first.finalsFingerprint(false))->size(),
+              1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FinalsTable, NewStoreOnTheSameDirectoryHitsPlainAndRefined)
+{
+    std::string dir = freshDir("finals_reopen");
+    {
+        CountingBenchmark bench;
+        BenchmarkTuner first(bench, storeOptions(dir));
+        Evaluation measured;
+        Evaluation read;
+        EXPECT_GT(finalExecutes(bench, first, lowered(first), &measured), 0);
+        BenchmarkTuner reopened(bench, storeOptions(dir));
+        EXPECT_EQ(finalExecutes(bench, reopened, lowered(reopened), &read),
+                  0);
+        expectSameEvaluation(read, measured);
+    }
+
+    // A refined executable is stored under its plain hot projection,
+    // so the table loader keeps it across a reopen.
+    RefinableGhostBenchmark bench;
+    TunerOptions opt = storeOptions(dir);
+    opt.metric = "MAE";
+    opt.refine = true;
+    auto cold = [](const BenchmarkTuner& tuner) {
+        Config cfg(tuner.clusterCount());
+        cfg.set(clustersWhere(tuner, false)[0]);
+        return cfg;
+    };
+    BenchmarkTuner first(bench, opt);
+    Evaluation measured;
+    Evaluation read;
+    EXPECT_GT(finalExecutes(bench, first, cold(first), &measured), 0);
+    EXPECT_EQ(measured.status, EvalStatus::QualityFail);
+    opt.memoStore = std::make_shared<search::MemoStore>(dir);
+    BenchmarkTuner reopened(bench, opt);
+    EXPECT_EQ(finalExecutes(bench, reopened, cold(reopened), &read), 0);
+    expectSameEvaluation(read, measured);
+    auto table = opt.memoStore->table(reopened.finalsFingerprint(true));
+    ASSERT_EQ(table->size(), 1u);
+    EXPECT_EQ(table->entries().front().first,
+              Config(reopened.clusterCount()).toString());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FinalsTable, FinalRepsThresholdAndInputMiss)
+{
+    std::string dir = freshDir("finals_miss");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    BenchmarkTuner tuner(bench, opt);
+    EXPECT_GT(finalExecutes(bench, tuner, lowered(tuner)), 0);
+
+    TunerOptions reps = opt;
+    reps.finalReps = 3;
+    TunerOptions threshold = opt;
+    threshold.threshold = 1e-3;
+    for (const TunerOptions* other : {&reps, &threshold}) {
+        BenchmarkTuner missing(bench, *other);
+        EXPECT_EQ(finalExecutes(bench, missing, lowered(missing)),
+                  2 * static_cast<int>(other->finalReps));
+    }
+    CountingBenchmark changed(2.0);
+    BenchmarkTuner input(changed, opt);
+    EXPECT_EQ(finalExecutes(changed, input, lowered(input)),
+              2 * static_cast<int>(opt.finalReps));
+    std::filesystem::remove_all(dir);
+}
+
+/** One-knob benchmark whose prepare throws once `data` is lowered. */
+class FailingPrepareBenchmark final : public benchmarks::Benchmark {
+  public:
+    FailingPrepareBenchmark() : model_("failprep")
+    {
+        using namespace model;
+        ModuleId m = model_.addModule("failprep.c");
+        FunctionId f = model_.addFunction(m, "f");
+        model_.addVariable(f, "data", realPointer(), "data");
+    }
+
+    std::string name() const override { return "failprep"; }
+    std::string description() const override
+    {
+        return "throws from a lowered prepare";
+    }
+    bool isKernel() const override { return true; }
+    const model::ProgramModel& programModel() const override
+    {
+        return model_;
+    }
+
+    benchmarks::RunPlan
+    prepare(const benchmarks::PrecisionMap& pm,
+            const benchmarks::PrepareOptions& options) const override
+    {
+        if (pm.get("data") != runtime::Precision::Float64) {
+            ++prepares;
+            throw std::runtime_error("no lowered plan");
+        }
+        return Benchmark::prepare(pm, options);
+    }
+
+    benchmarks::RunOutput
+    run(const benchmarks::PrecisionMap&) const override
+    {
+        benchmarks::RunOutput out;
+        out.values.assign(8, 1.0);
+        return out;
+    }
+
+    mutable std::atomic<int> prepares{0};
+
+  private:
+    model::ProgramModel model_;
+};
+
+TEST(FinalsTable, RuntimeFailIsNotPublished)
+{
+    std::string dir = freshDir("finals_runtime_fail");
+    TunerOptions opt = storeOptions(dir);
+    FailingPrepareBenchmark bench;
+    BenchmarkTuner tuner(bench, opt);
+    for (int call = 1; call <= 2; ++call) {
+        EXPECT_EQ(tuner.finalMeasure(lowered(tuner)).status,
+                  EvalStatus::RuntimeFail);
+        EXPECT_EQ(bench.prepares, call);
+    }
+    EXPECT_EQ(opt.memoStore->table(tuner.finalsFingerprint(false))->size(),
+              0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FinalsTable, ConcurrentTunersEndWithOneValue)
+{
+    std::string dir = freshDir("finals_concurrent");
+    TunerOptions opt = storeOptions(dir);
+    CountingBenchmark bench;
+    std::vector<Evaluation> finals(4);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < finals.size(); ++i)
+        threads.emplace_back([&, i] {
+            BenchmarkTuner tuner(bench, opt);
+            finals[i] = tuner.finalMeasure(lowered(tuner));
+        });
+    for (std::thread& t : threads)
+        t.join();
+    for (const Evaluation& eval : finals)
+        expectSameEvaluation(eval, finals.front());
+
+    BenchmarkTuner tuner(bench, opt);
+    auto table = opt.memoStore->table(tuner.finalsFingerprint(false));
+    EXPECT_EQ(table->size(), 1u);
+    expectSameEvaluation(tuner.finalMeasure(lowered(tuner)),
+                         finals.front());
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * One knob `data` and two cold clusters. A lowered `data` sleeps a
+ * tenth of the double run, so every configuration that lowers it is
+ * the fastest executable, and those executes are counted.
+ */
+class GhostsBenchmark final : public benchmarks::Benchmark {
+  public:
+    GhostsBenchmark() : model_("ghosts")
+    {
+        using namespace model;
+        ModuleId m = model_.addModule("ghosts.c");
+        FunctionId f = model_.addFunction(m, "f");
+        model_.addVariable(f, "data", realPointer(), "data");
+        model_.addVariable(f, "ghost1", realPointer());
+        model_.addVariable(f, "ghost2", realPointer());
+    }
+
+    std::string name() const override { return "ghosts"; }
+    std::string description() const override
+    {
+        return "one knob, two cold clusters";
+    }
+    bool isKernel() const override { return true; }
+    const model::ProgramModel& programModel() const override
+    {
+        return model_;
+    }
+
+    benchmarks::RunOutput
+    run(const benchmarks::PrecisionMap& pm) const override
+    {
+        const bool low = pm.get("data") != runtime::Precision::Float64;
+        if (low)
+            ++executes;
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(low ? 200 : 2000));
+        benchmarks::RunOutput out;
+        out.values.assign(8, 1.0);
+        return out;
+    }
+
+    mutable std::atomic<int> executes{0};
+
+  private:
+    model::ProgramModel model_;
+};
+
+TEST(PortfolioFinals, CandidatesSharingAnExecutableCostOneFinal)
+{
+    GhostsBenchmark bench;
+    TunerOptions opt = fastOptions();
+    BenchmarkTuner tuner(bench, opt);
+    ASSERT_EQ(tuner.clusterCount(), 3u);
+    const int before = bench.executes;
+    // Serial entrants: CB (largest subsets first) times the lowered
+    // executable once and keeps all-lowered; CM (singletons first)
+    // keeps `data` alone, served by the executable table.
+    core::PortfolioOutcome outcome =
+        tuner.tunePortfolio({"CB", "CM"}, search::PortfolioMode::Best, 1);
+    const auto& results = outcome.portfolio.results;
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].foundImprovement);
+    ASSERT_TRUE(results[1].foundImprovement);
+    // Two different configurations of one executable...
+    const Config cb = results[0].best;
+    const Config cm = tuner.toClusterConfig(results[1].best);
+    ASSERT_EQ(cb.count(), 3u);
+    ASSERT_EQ(cm.count(), 1u);
+    ASSERT_TRUE(cm.isSubsetOf(cb));
+    ASSERT_TRUE(tuner.hotClusters()[cm.lowered().front()]);
+
+    // ...cost one search measurement and one final.
+    EXPECT_EQ(bench.executes - before,
+              static_cast<int>(opt.searchReps + opt.finalReps));
+    // The one with fewer lowered sites represents them.
+    EXPECT_EQ(outcome.clusterConfig, cm);
+    EXPECT_EQ(outcome.winnerCode, "CM");
+    EXPECT_GT(outcome.finalSpeedup, 1.0);
 }
 
 // --- Early rejection -------------------------------------------------

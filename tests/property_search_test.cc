@@ -216,8 +216,9 @@ TEST_P(SearchProperty, GeneticRespectsItsBudgetAndPasses)
     ga.run(ctx);
     EXPECT_LE(ctx.counters().evaluated,
               options.population * options.generations);
-    if (ctx.hasBest())
+    if (ctx.hasBest()) {
         EXPECT_TRUE(problem.passes(ctx.bestConfig()));
+    }
 }
 
 TEST_P(SearchProperty, CacheNeverReExecutes)
@@ -321,10 +322,9 @@ class UnevenLatencyProblem : public RandomProblem {
  * wildly uneven per-item latencies must commit bit-identical
  * evaluations on four stealing workers and on one (the serial
  * reference) — commit order follows submission order, never
- * completion order. (The name predates the removal of the FIFO pool
- * schedule, once the reference here.)
+ * completion order.
  */
-TEST_P(SearchProperty, StealSchedulingMatchesFifoBitIdentically)
+TEST_P(SearchProperty, StealingBatchMatchesSerialBitIdentically)
 {
     auto runWith = [&](std::size_t jobs, std::vector<Evaluation>& evals) {
         UnevenLatencyProblem problem(10, GetParam());
