@@ -57,34 +57,24 @@ CachedInput::view(runtime::Precision p) const
 {
     switch (p) {
     case runtime::Precision::BFloat16:
-        std::call_once(onceBf16_, [&] {
-            bf16_ = runtime::Buffer::fromDoubles(values_, p);
-        });
+        std::call_once(onceBf16_, [&] { bf16_ = convert(p); });
         return bf16_;
     case runtime::Precision::Float16:
-        std::call_once(once16_, [&] {
-            f16_ = runtime::Buffer::fromDoubles(values_, p);
-        });
+        std::call_once(once16_, [&] { f16_ = convert(p); });
         return f16_;
     case runtime::Precision::Float32:
-        std::call_once(once32_, [&] {
-            f32_ = runtime::Buffer::fromDoubles(values_, p);
-        });
+        std::call_once(once32_, [&] { f32_ = convert(p); });
         return f32_;
     case runtime::Precision::Float64:
         break;
     }
-    std::call_once(once64_, [&] {
-        f64_ = runtime::Buffer::fromDoubles(
-            values_, runtime::Precision::Float64);
-    });
-    return f64_;
+    return values_;
 }
 
 runtime::Buffer
 CachedInput::convert(runtime::Precision p) const
 {
-    return runtime::Buffer::fromDoubles(values_, p);
+    return runtime::Buffer::fromDoubles(doubles(), p);
 }
 
 void

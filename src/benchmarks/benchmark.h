@@ -100,11 +100,13 @@ struct RunOutput {
 /**
  * An immutable input array with cached per-precision runtime views.
  *
- * Benchmarks keep their seeded source data in CachedInput members; the
- * double and float views are materialized lazily, at most once per
- * process, under a once-flag (thread-safe, so concurrent `--search-jobs`
- * evaluators can share one benchmark instance). The cached conversion
- * is Buffer::fromDoubles, bit-identical to a fresh per-run conversion.
+ * Benchmarks keep their seeded source data in CachedInput members. The
+ * source values are held as a double-precision Buffer, which is the
+ * Float64 view itself; the lower-precision views are materialized
+ * lazily, at most once per process, under a once-flag (thread-safe, so
+ * concurrent `--search-jobs` evaluators can share one benchmark
+ * instance). The cached conversion is Buffer::fromDoubles,
+ * bit-identical to a fresh per-run conversion.
  *
  * Assign the source values before the first view() call; the views
  * are immutable afterwards.
@@ -120,17 +122,21 @@ class CachedInput {
     CachedInput&
     operator=(std::vector<double> values)
     {
-        values_ = std::move(values);
+        values_ = runtime::Buffer(std::move(values));
         return *this;
     }
 
     /** Element count of the source array. */
     std::size_t size() const { return values_.size(); }
 
-    /** The source values (always double). */
-    std::span<const double> doubles() const { return values_; }
+    /** The source values (always double; the Float64 view's storage). */
+    std::span<const double> doubles() const
+    {
+        return values_.as<double>();
+    }
 
-    /** Cached immutable view at @p p, converted on first use. */
+    /** Cached immutable view at @p p, converted on first use (the
+     *  source values themselves at Float64). */
     const runtime::Buffer& view(runtime::Precision p) const;
 
     /** Freshly converted owning copy — the seed's per-run cost,
@@ -138,15 +144,13 @@ class CachedInput {
     runtime::Buffer convert(runtime::Precision p) const;
 
   private:
-    std::vector<double> values_;
+    runtime::Buffer values_;
     mutable std::once_flag onceBf16_;
     mutable std::once_flag once16_;
     mutable std::once_flag once32_;
-    mutable std::once_flag once64_;
     mutable runtime::Buffer bf16_;
     mutable runtime::Buffer f16_;
     mutable runtime::Buffer f32_;
-    mutable runtime::Buffer f64_;
 };
 
 /** Options for Benchmark::prepare(). */

@@ -269,38 +269,23 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
     }
 
     // Set up the sandbox now, after runBaseline(): every worker
-    // inherits the reference output and the benchmark's warmed
-    // CachedInput through the fork, and the per-campaign fd budget
-    // (rings + doorbells) is paid once here — the count stays constant
-    // through the whole campaign, respawns included. Pool workers fork
-    // here and serve the whole campaign; fork isolation forks a
-    // one-job worker per attempt, with a slot for every evaluation
-    // thread the machine runs (portfolio entrants evaluate
-    // concurrently).
+    // inherits the reference output through the fork, and the
+    // per-campaign fd budget (rings + doorbells) is paid once here —
+    // the count stays constant through the whole campaign, respawns
+    // included. Pool workers fork here and serve the whole campaign,
+    // converting inputs themselves; fork isolation forks a one-job
+    // worker per attempt, with a slot for every evaluation thread the
+    // machine runs (portfolio entrants evaluate concurrently), and
+    // converts nothing here: evaluateClusterConfig() converts in the
+    // parent just before each dispatch.
     if (options_.isolation != support::IsolationMode::None) {
         const bool pool = options_.isolation == support::IsolationMode::Pool;
         std::size_t workers = std::max<std::size_t>(options_.searchJobs, 1);
         if (pool && options_.poolWorkers > 0)
             workers = options_.poolWorkers;
-        if (!pool) {
+        if (!pool)
             workers = std::max<std::size_t>(
                 workers, std::thread::hardware_concurrency());
-            // A one-job worker prepares from the parent's input caches
-            // as of its dispatch and throws its own conversions away on
-            // exit, so convert every input at every rung once, here. A
-            // rung whose prepare fails stays cold; the worker that hits
-            // it reports the failure.
-            for (std::size_t level = 1;
-                 level <= options_.ladder.maxLevel(); ++level) {
-                try {
-                    (void)benchmark_.prepare(precisionMapFor(
-                        Config::allLowered(
-                            clusterCount(),
-                            static_cast<std::uint8_t>(level))));
-                } catch (const std::exception&) {
-                }
-            }
-        }
         workerPool_ = std::make_unique<support::WorkerPool>(
             workers, sizeof(PoolJobHeader) + clusterCount(),
             sizeof(SandboxPayload),
@@ -417,7 +402,7 @@ std::uint64_t
 BenchmarkTuner::inputSignature() const
 {
     std::call_once(inputSignatureOnce_, [this] {
-        inputSignature_ = support::fnv1a64(
+        inputSignature_ = support::xxh64(
             reference_.data(), reference_.size() * sizeof(double));
     });
     return inputSignature_;
@@ -548,6 +533,19 @@ BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
     if (crashLoopCutoffReached())
         return classify(std::nullopt, payload);
 
+    // A one-job worker prepares from the parent's input caches as of
+    // its dispatch and throws its own conversions away on exit, so the
+    // parent converts the inputs this configuration reads first: each
+    // input is converted once per process, and only at the rungs some
+    // dispatched configuration reads. A failing prepare is left to the
+    // worker, which reports it as a job that threw.
+    if (options_.isolation == support::IsolationMode::Fork) {
+        try {
+            (void)benchmark_.prepare(precisionMapFor(cfg));
+        } catch (const std::exception&) {
+        }
+    }
+
     const std::string key = cfg.toString();
     PoolJobHeader header;
     header.reps = static_cast<std::uint32_t>(reps);
@@ -635,8 +633,8 @@ BenchmarkTuner::executableCount() const
  * prepare() happens here, in the worker: a persistent worker forked at
  * construction cannot see a RunPlan prepared later in the parent. It
  * keeps CachedInput and the thread_local workspace warm across every
- * job it serves; a one-job worker inherits the inputs the constructor
- * converted at every rung.
+ * job it serves; a one-job worker inherits the inputs the parent
+ * converted for its configuration just before dispatch.
  *
  * Exceptions (prepare failures, RefineDiverged) propagate out into the
  * WorkerPool trampoline, which reports kChildBodyThrew.
@@ -795,10 +793,9 @@ Evaluation
 BenchmarkTuner::finalMeasure(const Config& cfg)
 {
     const bool refined = useRefinement(cfg);
-    const Config hot = hotProjection(cfg);
     const std::string prefix =
         support::strCat(benchmark_.name(), ": final ", cfg.toString());
-    if (!refined && hot.isBaseline()) {
+    if (runsBaselineExecutable(cfg)) {
         support::inform(
             prefix + " runs the baseline executable: speedup 1");
         Evaluation eval;
@@ -811,7 +808,7 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     std::shared_ptr<search::MemoTable> table;
     if (options_.memoStore)
         table = options_.memoStore->table(finalsFingerprint(refined));
-    const std::string key = hot.toString();
+    const std::string key = hotProjection(cfg).toString();
     std::optional<Evaluation> stored =
         table ? table->lookup(key) : std::nullopt;
     const bool measured = !stored;
@@ -833,6 +830,12 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
                                    finalRepCount(options_), " pairs")
                  : std::string("read from the memo store")));
     return *stored;
+}
+
+bool
+BenchmarkTuner::runsBaselineExecutable(const Config& cfg) const
+{
+    return !useRefinement(cfg) && hotProjection(cfg).isBaseline();
 }
 
 /**
@@ -1072,6 +1075,8 @@ BenchmarkTuner::tune(search::SearchStrategy& strategy)
         Evaluation final = finalMeasure(outcome.clusterConfig);
         outcome.finalSpeedup = final.speedup;
         outcome.finalQualityLoss = final.qualityLoss;
+        outcome.baselineExecutable =
+            runsBaselineExecutable(outcome.clusterConfig);
     } else {
         outcome.finalSpeedup = 1.0;
         outcome.finalQualityLoss = 0.0;
@@ -1235,6 +1240,7 @@ BenchmarkTuner::tunePortfolio(
         outcome.clusterConfig = chosen->cluster;
         outcome.finalSpeedup = chosen->final.speedup;
         outcome.finalQualityLoss = chosen->final.qualityLoss;
+        outcome.baselineExecutable = runsBaselineExecutable(chosen->cluster);
     } else {
         // Nobody improved on the baseline.
         const search::SearchResult& raceWinner =

@@ -184,6 +184,9 @@ struct TuneOutcome {
     search::Config clusterConfig;   ///< winner at cluster granularity
     double finalSpeedup = 1.0;      ///< 10-run protocol measurement
     double finalQualityLoss = 0.0;  ///< loss of the winner
+    /// The winner runs the all-double executable (it lowers only cold
+    /// clusters), so its final speedup is exactly 1 and timed nothing.
+    bool baselineExecutable = false;
 };
 
 /**
@@ -208,6 +211,7 @@ struct PortfolioOutcome {
     search::Config clusterConfig;      ///< winner at cluster granularity
     double finalSpeedup = 1.0;         ///< 10-run protocol measurement
     double finalQualityLoss = 0.0;     ///< loss of the winner
+    bool baselineExecutable = false;   ///< as TuneOutcome's
     search::SearchCounters total;      ///< summed over the entrants
 };
 
@@ -277,9 +281,11 @@ class BenchmarkTuner {
 
     /**
      * The evaluation-function fingerprint of this tuner at one search
-     * granularity: benchmark name, input signature (hash of the
-     * baseline reference output), metric, threshold, site count and
-     * precision ladder. Addresses the memo-cache.
+     * granularity: benchmark name, input signature (support::xxh64
+     * of the baseline reference output), metric, threshold, site
+     * count and precision ladder. Addresses the memo-cache. Stores
+     * written by builds that hashed the signature with fnv1a64 miss
+     * once, under new segment names, and are re-measured.
      */
     search::MemoFingerprint
     fingerprint(search::Granularity granularity) const;
@@ -350,6 +356,11 @@ class BenchmarkTuner {
      * speedup 1 and loss 0, runtime baselineSeconds().
      */
     search::Evaluation finalMeasure(const search::Config& cfg);
+
+    /** True when @p cfg runs the all-double executable: it lowers only
+     *  cold clusters and does not run refined. finalMeasure() times no
+     *  such configuration. */
+    bool runsBaselineExecutable(const search::Config& cfg) const;
 
     /** Derive the runtime precision map of a cluster configuration. */
     benchmarks::PrecisionMap
@@ -433,8 +444,8 @@ class BenchmarkTuner {
     std::vector<model::VarId> variables_;
     verify::OutputComparator comparator_;
     std::vector<double> reference_;
-    /// Hash of reference_, computed on first use: a run without a memo
-    /// store never needs it, and it costs ~3 ms per 200k doubles.
+    /// xxh64 of reference_, computed on first use: a run without a
+    /// memo store never needs it, and it costs ~0.2 ms per 200k doubles.
     mutable std::once_flag inputSignatureOnce_;
     mutable std::uint64_t inputSignature_ = 0;
     double baselineSeconds_ = 0.0;

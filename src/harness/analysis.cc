@@ -89,6 +89,7 @@ FloatsmithAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     result.timedOut = outcome.search.timedOut;
     result.sandbox = tuner.sandboxStats();
     result.configuration = outcome.clusterConfig.toString();
+    result.baselineExecutable = outcome.baselineExecutable;
     return result;
 }
 
@@ -108,6 +109,7 @@ SinglePrecisionAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     result.qualityLoss = eval.qualityLoss;
     result.evaluated = 1;
     result.configuration = all.toString();
+    result.baselineExecutable = tuner.runsBaselineExecutable(all);
     return result;
 }
 
@@ -138,6 +140,8 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
         result.speedup = eval.speedup;
         result.qualityLoss = eval.qualityLoss;
         result.configuration = clusterCfg.toString();
+        result.baselineExecutable =
+            tuner.runsBaselineExecutable(clusterCfg);
     } else {
         result.configuration =
             search::Config(tuner.clusterCount()).toString();
@@ -193,6 +197,7 @@ PortfolioAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     result.timedOut = winner.timedOut;
     result.sandbox = tuner.sandboxStats();
     result.configuration = outcome.clusterConfig.toString();
+    result.baselineExecutable = outcome.baselineExecutable;
     return result;
 }
 

@@ -40,6 +40,9 @@ struct AnalysisResult : search::SearchCounters {
     std::size_t executables = 0; ///< distinct executables timed
     bool timedOut = false;
     std::string configuration;   ///< winning cluster config bits
+    /// The winning configuration runs the all-double executable
+    /// (TuneOutcome::baselineExecutable): speedup 1, nothing tuned.
+    bool baselineExecutable = false;
     /// Sandbox accounting (--isolation=fork|pool); all zero otherwise.
     core::SandboxStats sandbox;
 };

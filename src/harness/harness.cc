@@ -151,6 +151,7 @@ resultToJson(const JobResult& job)
     entry.set("timed_out", Value::boolean(r.timedOut));
     entry.set("restored", Value::boolean(job.restored));
     entry.set("configuration", Value::string(r.configuration));
+    entry.set("baseline_executable", Value::boolean(r.baselineExecutable));
     // Sandbox breakdown (--isolation=fork|pool): quarantines by
     // child exit class plus the mean fork+reap (fork) or dispatch
     // (pool) overhead per clean child.
@@ -184,6 +185,9 @@ resultFromJson(const Value& entry)
         static_cast<std::size_t>(entry.at("executables").asLong());
     r.timedOut = entry.at("timed_out").asBool();
     r.configuration = entry.at("configuration").asString();
+    // Journals written before the key existed resume as tuned.
+    r.baselineExecutable = entry.has("baseline_executable") &&
+                           entry.at("baseline_executable").asBool();
     const Value& sandbox = entry.at("sandbox");
     for (const SandboxField& f : kSandboxFields)
         r.sandbox.*f.member =
@@ -434,9 +438,13 @@ printResults(std::ostream& os, const std::vector<JobResult>& results)
             table.addRow(std::move(row));
             continue;
         }
-        const char* status = r.result.timedOut ? "timeout"
+        std::string status = r.result.timedOut ? "timeout"
                              : r.restored      ? "restored"
                                                : "ok";
+        // The winner changes no executed precision: its speedup is the
+        // baseline's own, not a tuned configuration's.
+        if (r.result.baselineExecutable)
+            status += " (f64 executable)";
         std::vector<std::string> row = {
             r.spec.benchmark, r.result.analysis, r.result.detail,
             support::Table::cell(r.result.speedup, 2),
@@ -449,7 +457,7 @@ printResults(std::ostream& os, const std::vector<JobResult>& results)
             static_cast<long>(r.result.sandbox.killedOnDeadline)));
         row.push_back(support::Table::cell(
             r.result.sandbox.spawnOverheadMeanSeconds * 1e3, 2));
-        row.push_back(status);
+        row.push_back(std::move(status));
         table.addRow(std::move(row));
     }
     table.print(os);

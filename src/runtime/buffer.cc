@@ -23,6 +23,12 @@ Buffer::Buffer(std::size_t elements, Precision p)
     }
 }
 
+Buffer::Buffer(std::vector<double> values)
+    : precision_(Precision::Float64), size_(values.size()),
+      f64_(std::move(values))
+{
+}
+
 void
 Buffer::checkAccess(Precision wanted) const
 {

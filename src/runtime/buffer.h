@@ -37,6 +37,9 @@ class Buffer {
     /** Allocate @p elements elements at precision @p p, zero-filled. */
     Buffer(std::size_t elements, Precision p);
 
+    /** A double-precision buffer that takes over @p values' storage. */
+    explicit Buffer(std::vector<double> values);
+
     Buffer(const Buffer&) = default;
     Buffer(Buffer&&) noexcept = default;
     Buffer& operator=(const Buffer&) = default;

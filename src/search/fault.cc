@@ -92,7 +92,7 @@ executeRawFault(RawFault fault)
       case RawFault::Crash:
         std::abort();
       case RawFault::Hang:
-        for (volatile std::uint64_t spin = 0;;) ++spin;
+        for (volatile std::uint64_t spin = 0;;) spin = spin + 1;
       case RawFault::Segv: {
         // Aligned, unmapped low address; abort() as a backstop if the
         // store somehow fails to trap.

@@ -57,7 +57,7 @@ std::optional<EvalStatus> evalStatusFromName(const std::string& name);
  *  evaluations interchangeable across runs, users and strategies. */
 struct MemoFingerprint {
     std::string benchmark;            ///< registry name
-    std::uint64_t inputSignature = 0; ///< hash of the reference output
+    std::uint64_t inputSignature = 0; ///< xxh64 of the reference output
     std::string metric;               ///< quality metric name
     double threshold = 0.0;           ///< quality threshold
     std::size_t sites = 0;            ///< config bitmask width

@@ -39,6 +39,15 @@ std::uint64_t fnv1a64(const void* data, std::size_t size);
 /** FNV-1a over the bytes of @p text. */
 std::uint64_t fnv1a64(const std::string& text);
 
+/**
+ * XXH64 (seed 0) over @p size bytes at @p data: four independent
+ * lanes of little-endian 8-byte words, then an avalanche step. Several
+ * times faster than fnv1a64() on large inputs; it hashes the reference
+ * output into the memo store's input signature, whose value is
+ * persisted in segment names and so must never change.
+ */
+std::uint64_t xxh64(const void* data, std::size_t size);
+
 /** An append-only log of newline-free records with crash recovery. */
 class AppendLog {
   public:

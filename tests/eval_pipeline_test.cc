@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -26,10 +28,12 @@ namespace {
 
 using hpcmixp::benchmarks::Benchmark;
 using hpcmixp::benchmarks::BenchmarkRegistry;
+using hpcmixp::benchmarks::CachedInput;
 using hpcmixp::benchmarks::PrecisionMap;
 using hpcmixp::benchmarks::PrepareOptions;
 using hpcmixp::benchmarks::RunOutput;
 using hpcmixp::benchmarks::RunPlan;
+using hpcmixp::runtime::Buffer;
 using hpcmixp::runtime::Precision;
 using hpcmixp::runtime::RunWorkspace;
 
@@ -208,6 +212,63 @@ TEST(EvalPipeline, WorkspaceSlotsAreStableAcrossReuse)
     for (std::size_t slot = 2; slot < 32; ++slot)
         ws.zeroed(slot, 128, Precision::Float32);
     EXPECT_EQ(first.as<float>().data(), firstData);
+}
+
+/** The raw bytes of @p buffer's elements, at its own precision. */
+std::vector<unsigned char>
+bytesOf(const Buffer& buffer)
+{
+    const void* data = nullptr;
+    switch (buffer.precision()) {
+    case Precision::BFloat16:
+        data = buffer.as<hpcmixp::runtime::BFloat16>().data();
+        break;
+    case Precision::Float16:
+        data = buffer.as<hpcmixp::runtime::Half>().data();
+        break;
+    case Precision::Float32:
+        data = buffer.as<float>().data();
+        break;
+    case Precision::Float64:
+        data = buffer.as<double>().data();
+        break;
+    }
+    std::vector<unsigned char> bytes(buffer.bytes());
+    if (!bytes.empty())
+        std::memcpy(bytes.data(), data, bytes.size());
+    return bytes;
+}
+
+// The Float64 view is the source storage itself, not a copy, and every
+// cached view is bit for bit the uncached conversion — including values
+// that round, overflow or go subnormal at the lower rungs.
+TEST(CachedInputViews, Float64ViewIsTheSourceAndEveryViewMatchesConvert)
+{
+    const std::vector<double> values = {
+        0.0, -0.0, 1.0 / 3.0, -2.5e-3, 6.1e-5, 3.0e-8, 65504.0, 1.0e6,
+        -7.0e40, 1.0e-320, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    CachedInput input;
+    input = std::vector<double>(values);
+    ASSERT_EQ(input.size(), values.size());
+
+    const Buffer& f64 = input.view(Precision::Float64);
+    EXPECT_EQ(f64.as<double>().data(), input.doubles().data());
+    ASSERT_EQ(input.doubles().size(), values.size());
+    EXPECT_EQ(std::memcmp(input.doubles().data(), values.data(),
+                          values.size() * sizeof(double)),
+              0);
+
+    for (Precision p : {Precision::Float64, Precision::Float32,
+                        Precision::Float16, Precision::BFloat16}) {
+        const Buffer& view = input.view(p);
+        EXPECT_EQ(&input.view(p), &view) << "view is converted once";
+        Buffer fresh = input.convert(p);
+        EXPECT_EQ(view.precision(), p);
+        EXPECT_EQ(view.size(), values.size());
+        EXPECT_EQ(bytesOf(view), bytesOf(fresh))
+            << hpcmixp::runtime::precisionName(p);
+    }
 }
 
 } // namespace

@@ -262,6 +262,7 @@ TEST(ExecutableTable, ColdOnlyWinnerRunsTheBaselineExecutable)
     Config coldOnly(tuner.clusterCount());
     coldOnly.set(cold[0]);
     coldOnly.set(cold[1]);
+    EXPECT_TRUE(tuner.runsBaselineExecutable(coldOnly));
     Evaluation final = tuner.finalMeasure(coldOnly);
     EXPECT_EQ(final.status, EvalStatus::Pass);
     EXPECT_EQ(final.speedup, 1.0);
@@ -270,6 +271,7 @@ TEST(ExecutableTable, ColdOnlyWinnerRunsTheBaselineExecutable)
     // A hot cluster makes it a different executable, timed afresh.
     Config hot = coldOnly;
     hot.set(clustersWhere(tuner, true)[0]);
+    EXPECT_FALSE(tuner.runsBaselineExecutable(hot));
     EXPECT_NE(tuner.finalMeasure(hot).speedup, 1.0);
 }
 
@@ -288,6 +290,7 @@ TEST(ExecutableTable, RefinedColdOnlyWinnerIsStillMeasured)
     // the refined execute's mark fails verification.
     Config coldOnly(tuner.clusterCount());
     coldOnly.set(cold[0]);
+    EXPECT_FALSE(tuner.runsBaselineExecutable(coldOnly));
     const int before = bench.executes;
     Evaluation final = tuner.finalMeasure(coldOnly);
     EXPECT_EQ(bench.executes - before, 2 * static_cast<int>(opt.finalReps));
@@ -566,8 +569,8 @@ TEST(BaselineRecord, WithoutAStoreEveryTunerTimesSearchReps)
         std::vector<double> firstOutput(8, 1.0);
         EXPECT_EQ(
             first.fingerprint(search::Granularity::Cluster).inputSignature,
-            support::fnv1a64(firstOutput.data(),
-                             firstOutput.size() * sizeof(double)));
+            support::xxh64(firstOutput.data(),
+                           firstOutput.size() * sizeof(double)));
         EXPECT_EQ(baselineExecutes(bench, opt), measuredExecutes(opt));
     }
 }

@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "search/context.h"
 #include "support/json.h"
 #include "support/logging.h"
+#include "support/memo_log.h"
 
 namespace {
 
@@ -330,6 +332,94 @@ TEST(HarnessRun, NaNQualityLossIsNullInJsonAndNaNInTheJournal)
     ASSERT_EQ(restored.size(), 1u);
     EXPECT_TRUE(restored[0].restored);
     EXPECT_TRUE(std::isnan(restored[0].result.qualityLoss));
+    std::filesystem::remove_all(options.memoCacheDir);
+}
+
+/** Analysis whose winner lowers only clusters that bind no knob. */
+class BaselineExecutableAnalysis : public Analysis {
+  public:
+    std::string name() const override { return "f64winner"; }
+    AnalysisResult
+    analyze(const benchmarks::Benchmark&, const core::TunerOptions&,
+            const ExtraArgs&) override
+    {
+        AnalysisResult r;
+        r.analysis = name();
+        r.detail = "DD";
+        r.configuration = "0011";
+        r.baselineExecutable = true;
+        return r;
+    }
+};
+
+/** The table printResults() renders for @p results. */
+std::string
+tableOf(const std::vector<JobResult>& results)
+{
+    std::ostringstream os;
+    printResults(os, results);
+    return os.str();
+}
+
+TEST(HarnessRun, BaselineExecutableWinnerIsMarkedAndResumes)
+{
+    if (!AnalysisRegistry::instance().has("f64winner"))
+        AnalysisRegistry::instance().add("f64winner", [] {
+            return std::make_unique<BaselineExecutableAnalysis>();
+        });
+    auto jobs = parseConfig(support::yaml::parse(
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    w:\n"
+        "      name: 'f64winner'\n"));
+    HarnessOptions options;
+    options.memoCacheDir = scratchDir("hpcmixp_f64_winner_memo");
+    auto results = runJobs(jobs, options);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].error.empty()) << results[0].error;
+    EXPECT_NE(tableOf(results).find("ok (f64 executable)"),
+              std::string::npos);
+    auto entry = support::json::parse(resultsToJson(results).dump(2))
+                     .items()[0];
+    EXPECT_TRUE(entry.at("baseline_executable").asBool());
+
+    HarnessOptions resume = options;
+    resume.resume = true;
+    auto restored = runJobs(jobs, resume);
+    ASSERT_EQ(restored.size(), 1u);
+    EXPECT_TRUE(restored[0].restored);
+    EXPECT_TRUE(restored[0].result.baselineExecutable);
+    EXPECT_NE(tableOf(restored).find("restored (f64 executable)"),
+              std::string::npos);
+
+    // A journal written before the key existed still resumes; its job
+    // reads as tuned. Each record line is "<fnv1a32> <record>".
+    auto files = journals(options.memoCacheDir);
+    ASSERT_EQ(files.size(), 1u);
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(files[0]);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 2u);
+    const std::string key = ",\"baseline_executable\":true";
+    std::string record = lines[1].substr(9);
+    const std::size_t at = record.find(key);
+    ASSERT_NE(at, std::string::npos);
+    record.erase(at, key.size());
+    char checksum[9];
+    std::snprintf(checksum, sizeof checksum, "%08x",
+                  static_cast<unsigned>(support::fnv1a64(record) &
+                                        0xffffffffu));
+    {
+        std::ofstream out(files[0], std::ios::trunc);
+        out << lines[0] << '\n' << checksum << ' ' << record << '\n';
+    }
+    auto legacy = runJobs(jobs, resume);
+    ASSERT_EQ(legacy.size(), 1u);
+    EXPECT_TRUE(legacy[0].restored);
+    EXPECT_FALSE(legacy[0].result.baselineExecutable);
+    EXPECT_EQ(legacy[0].result.configuration, "0011");
+    EXPECT_EQ(tableOf(legacy).find("f64 executable"), std::string::npos);
     std::filesystem::remove_all(options.memoCacheDir);
 }
 

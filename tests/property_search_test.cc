@@ -308,7 +308,7 @@ class UnevenLatencyProblem : public RandomProblem {
         volatile double sink = 0.0;
         const std::uint32_t spins = rng.nextBounded(20000);
         for (std::uint32_t i = 0; i < spins; ++i)
-            sink += static_cast<double>(i) * 1e-9;
+            sink = sink + static_cast<double>(i) * 1e-9;
         (void)sink;
         return RandomProblem::evaluate(config);
     }

@@ -12,6 +12,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -1022,6 +1023,112 @@ TEST(SandboxMemo, PublishesOnlyCleanChildResults)
         // though the search quarantined (and cached) it in-run.
         EXPECT_NE(eval.status, EvalStatus::RuntimeFail) << key;
         EXPECT_NE(key, toxicKey);
+    }
+}
+
+// ---- Fork-mode input conversions ---------------------------------------
+
+/**
+ * One knob `data`; counts, in this process, the prepares that lower
+ * it. With @p failLowered those prepares throw.
+ */
+class LoweredPrepareBenchmark final : public benchmarks::Benchmark {
+  public:
+    explicit LoweredPrepareBenchmark(bool failLowered = false)
+        : failLowered_(failLowered), model_("loweredprepare")
+    {
+        using namespace model;
+        ModuleId m = model_.addModule("loweredprepare.c");
+        FunctionId f = model_.addFunction(m, "f");
+        model_.addVariable(f, "data", realPointer(), "data");
+    }
+
+    std::string name() const override { return "loweredprepare"; }
+    std::string description() const override
+    {
+        return "counts its lowered prepares";
+    }
+    bool isKernel() const override { return true; }
+    const model::ProgramModel& programModel() const override
+    {
+        return model_;
+    }
+
+    benchmarks::RunPlan
+    prepare(const benchmarks::PrecisionMap& pm,
+            const benchmarks::PrepareOptions& options) const override
+    {
+        if (!pm.allDouble()) {
+            ++loweredPrepares;
+            if (failLowered_)
+                throw std::runtime_error("no lowered plan");
+        }
+        return Benchmark::prepare(pm, options);
+    }
+
+    benchmarks::RunOutput
+    run(const benchmarks::PrecisionMap&) const override
+    {
+        benchmarks::RunOutput out;
+        out.values.assign(8, 1.0);
+        return out;
+    }
+
+    mutable std::atomic<int> loweredPrepares{0};
+
+  private:
+    bool failLowered_;
+    model::ProgramModel model_;
+};
+
+TEST(SandboxConversions, WarmStoreCampaignPreparesNothingLowered)
+{
+    TempDir dir("hpcmixp_sandbox_conversions_");
+    core::TunerOptions opt = sandboxOptions();
+    {
+        // Cold, the parent converts once just before the one dispatch
+        // (the child's own prepare is not counted here), then once for
+        // the final measurement.
+        opt.memoStore = std::make_shared<search::MemoStore>(dir.string());
+        LoweredPrepareBenchmark bench;
+        core::BenchmarkTuner tuner(bench, opt);
+        EXPECT_EQ(bench.loweredPrepares, 0);
+        core::TuneOutcome outcome = tuner.tune("CB");
+        ASSERT_EQ(outcome.search.evaluated, 1u);
+        EXPECT_EQ(tuner.sandboxStats().forks, 1u);
+        EXPECT_EQ(bench.loweredPrepares, 2);
+    }
+    // Warm, neither construction nor a campaign whose evaluation and
+    // final come from the store converts anything.
+    opt.memoStore = std::make_shared<search::MemoStore>(dir.string());
+    LoweredPrepareBenchmark bench;
+    core::BenchmarkTuner tuner(bench, opt);
+    EXPECT_EQ(bench.loweredPrepares, 0);
+    core::TuneOutcome outcome = tuner.tune("CB");
+    EXPECT_EQ(outcome.search.memoHits, 1u);
+    EXPECT_EQ(tuner.sandboxStats().forks, 0u);
+    EXPECT_EQ(bench.loweredPrepares, 0);
+}
+
+TEST(SandboxConversions, FailingLoweredPrepareMatchesInProcess)
+{
+    // The parent's conversion throws and is swallowed; the child's
+    // prepare throws again and reports it, so the verdict is the
+    // in-process one.
+    for (IsolationMode mode : {IsolationMode::None, IsolationMode::Fork}) {
+        LoweredPrepareBenchmark bench(true);
+        core::TunerOptions opt = sandboxOptions();
+        opt.isolation = mode;
+        core::BenchmarkTuner tuner(bench, opt);
+        auto eval = tuner.evaluateClusterConfig(
+            Config::allLowered(tuner.clusterCount()), 1);
+        EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
+        EXPECT_TRUE(std::isnan(eval.qualityLoss));
+        EXPECT_TRUE(eval.memoizable);
+        EXPECT_FALSE(eval.deadlineMiss);
+        EXPECT_EQ(bench.loweredPrepares, 1);
+        EXPECT_EQ(tuner.sandboxStats().nonZeroExits,
+                  mode == IsolationMode::Fork ? 1u : 0u);
     }
 }
 

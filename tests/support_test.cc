@@ -18,6 +18,7 @@
 #include "support/cli.h"
 #include "support/env.h"
 #include "support/logging.h"
+#include "support/memo_log.h"
 #include "support/retry.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -474,6 +475,57 @@ TEST(Backoff, SleepForSecondsIgnoresNonPositive)
     sleepForSeconds(0.0);
     sleepForSeconds(-1.0);
     EXPECT_LT(timer.seconds(), 0.05);
+}
+
+// ---- xxh64 ---------------------------------------------------------
+
+TEST(Xxh64, PinnedValues)
+{
+    // The input signature persists in memo segment names, so a change
+    // of value orphans every store. The first two are XXH64's published
+    // seed-0 values; the 64-byte input runs the four-lane stripe loop.
+    EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+    unsigned char bytes[64];
+    for (std::size_t i = 0; i < sizeof bytes; ++i)
+        bytes[i] = static_cast<unsigned char>(i);
+    EXPECT_EQ(xxh64(bytes, sizeof bytes), 0xf7c67301db6713f0ull);
+    const double values[8] = {0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5};
+    EXPECT_EQ(xxh64(values, sizeof values), 0xabfff371c5939338ull);
+}
+
+TEST(Xxh64, EverySingleBitFlipChangesTheValue)
+{
+    unsigned char bytes[64];
+    for (std::size_t i = 0; i < sizeof bytes; ++i)
+        bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+    const std::uint64_t original = xxh64(bytes, sizeof bytes);
+    std::set<std::uint64_t> seen{original};
+    for (std::size_t bit = 0; bit < 8 * sizeof bytes; ++bit) {
+        bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        EXPECT_TRUE(seen.insert(xxh64(bytes, sizeof bytes)).second)
+            << "bit " << bit;
+        bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+    EXPECT_EQ(xxh64(bytes, sizeof bytes), original);
+}
+
+TEST(Xxh64, LengthsUpToFortyHashDistinctlyAndRepeatably)
+{
+    // 0-40 bytes cover every tail path (bytes, a 4-byte word, 8-byte
+    // words) on both sides of the 32-byte stripe. The copy at an odd
+    // offset checks that the value does not depend on alignment.
+    unsigned char bytes[41];
+    unsigned char shifted[42];
+    for (std::size_t i = 0; i < sizeof bytes; ++i)
+        bytes[i] = shifted[i + 1] = static_cast<unsigned char>(i + 1);
+    std::set<std::uint64_t> seen;
+    for (std::size_t n = 0; n < sizeof bytes; ++n) {
+        const std::uint64_t h = xxh64(bytes, n);
+        EXPECT_TRUE(seen.insert(h).second) << "length " << n;
+        EXPECT_EQ(xxh64(bytes, n), h) << "length " << n;
+        EXPECT_EQ(xxh64(shifted + 1, n), h) << "length " << n;
+    }
 }
 
 } // namespace
