@@ -353,20 +353,24 @@ BenchmarkTuner::buildStructure()
 void
 BenchmarkTuner::runBaseline()
 {
-    // One untimed execute yields the reference output, which also
-    // identifies the inputs the baseline table is keyed by. Its wall
-    // time is no sample: a cold first execute reads high. The baseline
-    // runtime only divides search-time speedups, and every search
-    // decision compares two speedups over that one divisor, so it is
-    // timed like any search evaluation: searchReps reps, once per memo
-    // store. Reported speedups divide by finalMeasure()'s own
-    // interleaved baseline reps. Without a store, or on a miss, the
-    // reps are timed here and the trimmed mean is published. The first
+    // The baseline runtime only divides search-time speedups, and every
+    // search decision compares two speedups over that one divisor, so
+    // it is timed like any search evaluation: searchReps reps, once per
+    // memo store. Reported speedups divide by finalMeasure()'s own
+    // interleaved baseline reps. Rep 1's output is the reference, which
+    // also identifies the inputs the baseline table is keyed by; a hit
+    // stops there. Without a store, or on a miss, that output is freed
+    // before the remaining reps are timed, the last rep's output
+    // becomes the reference (execute determinism makes it the same),
+    // and the trimmed mean of all the reps is published. The first
     // publisher wins, so every tuner on one store divides by the same
     // baseline.
     const Config baseline(clusterCount());
     benchmarks::RunPlan plan = benchmark_.prepare(precisionMapFor(baseline));
-    reference_ = executeForConfig(plan, evalWorkspace(), false).values;
+    std::vector<double> samples;
+    benchmarks::RunOutput output;
+    timeExecutes(plan, false, 1, samples, &output);
+    reference_ = std::move(output.values);
     if (reference_.empty())
         support::fatal(support::strCat("benchmark ", benchmark_.name(),
                                        " produced no output"));
@@ -379,8 +383,12 @@ BenchmarkTuner::runBaseline()
         table ? table->lookup(key) : std::nullopt;
     const bool measured = !stored;
     if (measured) {
-        std::vector<double> samples;
-        timeExecutes(plan, false, options_.searchReps, samples, nullptr);
+        if (options_.searchReps > 1) {
+            reference_ = std::vector<double>();
+            timeExecutes(plan, false, options_.searchReps - 1, samples,
+                         &output);
+            reference_ = std::move(output.values);
+        }
         Evaluation eval;
         eval.status = EvalStatus::Pass;
         eval.runtimeSeconds = support::trimmedMean(std::move(samples));
@@ -446,11 +454,9 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
  * time to @p samples, and leave the last rep's output in @p output
  * when it is non-null. Every rep yields the same values. An output
  * kept alive while a later rep is timed makes that rep page-fault a
- * fresh heap block inside its timed region, so measure() frees its
- * kept output first and finalMeasure() keeps its last rep's. The
- * baseline's reference, from an untimed execute, stays alive while
- * the baseline reps are timed, so the first of them can page-fault.
- * This is the tuner's one timed-rep loop
+ * fresh heap block inside its timed region, so runBaseline() and
+ * measure() free their kept output first and finalMeasure() keeps its
+ * last rep's. This is the tuner's one timed-rep loop
  * (baseline, search evaluations and final measurement), so every rep
  * frees its output outside the timed region. The timed region
  * includes the refinement sweeps: recovery is only a win when the
@@ -590,9 +596,10 @@ BenchmarkTuner::executableKey(const Config& cfg) const
 /**
  * A search evaluation: served from the executable table when another
  * configuration already timed and verified the same executable,
+ * answered from the baseline when it runs the all-double executable,
  * measured by evaluateClusterConfig() otherwise. Only clean Pass and
- * QualityFail measurements are stored; runtime failures, deadline
- * kills and crash-loop cutoffs stay per-attempt. An attempt carrying a
+ * QualityFail results are stored; runtime failures, deadline kills
+ * and crash-loop cutoffs stay per-attempt. An attempt carrying a
  * pending raw fault always reaches a worker and is never stored, so
  * the fault detonates in exactly the attempt that drew it. Concurrent
  * misses on one key may both measure; the first store wins, and the
@@ -610,7 +617,9 @@ BenchmarkTuner::evaluateSearchConfig(const Config& cfg)
         if (it != executables_.end())
             return it->second;
     }
-    Evaluation eval = evaluateClusterConfig(cfg, options_.searchReps);
+    Evaluation eval = runsBaselineExecutable(cfg)
+                          ? baselineEvaluation()
+                          : evaluateClusterConfig(cfg, options_.searchReps);
     if (eval.status == EvalStatus::Pass ||
         eval.status == EvalStatus::QualityFail) {
         std::lock_guard<std::mutex> lock(executablesMutex_);
@@ -782,12 +791,27 @@ BenchmarkTuner::sandboxStats() const
 }
 
 /**
+ * The all-double executable's result, with no execute: it is the
+ * baseline itself, so execute determinism makes its output the
+ * reference, its runtime the baseline's and its speedup 1.
+ */
+Evaluation
+BenchmarkTuner::baselineEvaluation() const
+{
+    Evaluation eval;
+    eval.status = EvalStatus::Pass;
+    eval.runtimeSeconds = baselineSeconds_;
+    eval.speedup = 1.0;
+    eval.qualityLoss = comparator_.verify(reference_, reference_).loss;
+    return eval;
+}
+
+/**
  * The final measurement of one executable, shared through the memo
  * store's finals table: keyed by the hot projection (one digit per
  * cluster, as the table loader requires) in the table of the
- * executable's refinement flag. The all-double executable is the
- * baseline itself, so execute determinism makes its output the
- * reference and its speedup 1; it is not timed.
+ * executable's refinement flag. The all-double executable is not
+ * timed (baselineEvaluation()).
  */
 Evaluation
 BenchmarkTuner::finalMeasure(const Config& cfg)
@@ -798,11 +822,7 @@ BenchmarkTuner::finalMeasure(const Config& cfg)
     if (runsBaselineExecutable(cfg)) {
         support::inform(
             prefix + " runs the baseline executable: speedup 1");
-        Evaluation eval;
-        eval.status = EvalStatus::Pass;
-        eval.runtimeSeconds = baselineSeconds_;
-        eval.speedup = 1.0;
-        return eval;
+        return baselineEvaluation();
     }
 
     std::shared_ptr<search::MemoTable> table;

@@ -8,9 +8,9 @@
  * Given a benchmark, the tuner:
  *  1. runs the Typeforge analysis over the benchmark's program model
  *     to obtain the variable clusters,
- *  2. executes the all-double baseline once, untimed, to capture the
- *     reference output, and times its runtime like a search
- *     evaluation (searchReps reps, once per memo store): it only
+ *  2. times the all-double baseline like a search evaluation
+ *     (searchReps reps, once per memo store; a store hit times one),
+ *     keeping a timed rep's output as the reference: the runtime only
  *     divides search-time speedups,
  *  3. exposes the program as a cluster-level and a variable-level
  *     search::SearchProblem (CM/HR/HC search variables and pay compile
@@ -353,13 +353,14 @@ class BenchmarkTuner {
      * times nothing; a clean Pass or QualityFail measurement is
      * published, and the first publisher wins. A configuration whose
      * executable is the all-double baseline's is not timed: Pass at
-     * speedup 1 and loss 0, runtime baselineSeconds().
+     * speedup 1, runtime baselineSeconds() and the reference's loss
+     * against itself.
      */
     search::Evaluation finalMeasure(const search::Config& cfg);
 
     /** True when @p cfg runs the all-double executable: it lowers only
-     *  cold clusters and does not run refined. finalMeasure() times no
-     *  such configuration. */
+     *  cold clusters and does not run refined. Neither a search
+     *  evaluation nor finalMeasure() times such a configuration. */
     bool runsBaselineExecutable(const search::Config& cfg) const;
 
     /** Derive the runtime precision map of a cluster configuration. */
@@ -419,6 +420,7 @@ class BenchmarkTuner {
     bool useRefinement(const search::Config& cfg) const;
     search::Config hotProjection(const search::Config& cfg) const;
     std::string executableKey(const search::Config& cfg) const;
+    search::Evaluation baselineEvaluation() const;
     search::Evaluation measureFinal(const search::Config& cfg,
                                     bool refined) const;
     search::Evaluation evaluateSearchConfig(const search::Config& cfg);

@@ -235,20 +235,61 @@ TEST(ExecutableTable, RefinedColdOnlyConfigIsNotServedTheBaseline)
     auto cold = clustersWhere(tuner, false);
     ASSERT_EQ(cold.size(), 1u);
 
-    // The baseline itself runs unrefined and passes.
+    // The baseline itself runs unrefined and passes; it is answered
+    // from the baseline measurement.
+    int before = bench.executes;
     Evaluation baseline =
         tuner.clusterProblem().evaluate(Config(tuner.clusterCount()));
     EXPECT_EQ(baseline.status, EvalStatus::Pass);
+    EXPECT_EQ(bench.executes - before, 0);
     EXPECT_EQ(tuner.executableCount(), 1u);
 
     // Lowering only the cold cluster projects onto the same precision
     // map, but the configuration is not the baseline, so it runs
-    // refined: a different executable, measured fresh.
+    // refined: a different executable, measured fresh (one rep, which
+    // fails verification).
     Config coldOnly(tuner.clusterCount());
     coldOnly.set(cold[0]);
+    before = bench.executes;
     Evaluation refined = tuner.clusterProblem().evaluate(coldOnly);
     EXPECT_EQ(refined.status, EvalStatus::QualityFail);
+    EXPECT_EQ(bench.executes - before, 1);
     EXPECT_EQ(tuner.executableCount(), 2u);
+}
+
+/**
+ * A search evaluation of a configuration that lowers only cold
+ * clusters runs the all-double executable, so it is answered from the
+ * baseline measurement: no execute and, under fork isolation, no fork.
+ */
+TEST(ExecutableTable, ColdOnlySearchEvaluationExecutesNothing)
+{
+    for (auto isolation :
+         {support::IsolationMode::None, support::IsolationMode::Fork}) {
+        RefinableGhostBenchmark bench;
+        TunerOptions opt = fastOptions();
+        opt.metric = "MAE";
+        opt.isolation = isolation;
+        BenchmarkTuner tuner(bench, opt);
+        Config coldOnly(tuner.clusterCount());
+        coldOnly.set(clustersWhere(tuner, false)[0]);
+        ASSERT_TRUE(tuner.runsBaselineExecutable(coldOnly));
+
+        const int before = bench.executes;
+        Evaluation eval = tuner.clusterProblem().evaluate(coldOnly);
+        EXPECT_EQ(bench.executes - before, 0);
+        EXPECT_EQ(tuner.sandboxStats().forks, 0u);
+        EXPECT_EQ(eval.status, EvalStatus::Pass);
+        EXPECT_EQ(eval.runtimeSeconds, tuner.baselineSeconds());
+        EXPECT_EQ(eval.speedup, 1.0);
+        EXPECT_EQ(eval.qualityLoss, 0.0);
+        // It enters the table as the all-double executable.
+        EXPECT_EQ(tuner.executableCount(), 1u);
+        expectSameEvaluation(
+            tuner.clusterProblem().evaluate(Config(tuner.clusterCount())),
+            eval);
+        EXPECT_EQ(tuner.executableCount(), 1u);
+    }
 }
 
 TEST(ExecutableTable, ColdOnlyWinnerRunsTheBaselineExecutable)
@@ -549,12 +590,12 @@ freshDir(const char* name)
     return dir;
 }
 
-/** Executes of a tuner that times its baseline: the untimed
- *  reference execute, then searchReps timed reps. */
+/** Executes of a tuner that times its baseline: searchReps timed
+ *  reps, the first of which also gives the reference. */
 int
 measuredExecutes(const TunerOptions& opt)
 {
-    return 1 + static_cast<int>(opt.searchReps);
+    return static_cast<int>(opt.searchReps);
 }
 
 TEST(BaselineRecord, WithoutAStoreEveryTunerTimesSearchReps)
@@ -565,13 +606,26 @@ TEST(BaselineRecord, WithoutAStoreEveryTunerTimesSearchReps)
         opt.searchReps = reps;
         BenchmarkTuner first(bench, opt);
         EXPECT_EQ(bench.executes, measuredExecutes(opt));
-        // The reference is the first execute's output.
-        std::vector<double> firstOutput(8, 1.0);
+        // The reference is the last timed rep's output.
+        std::vector<double> lastOutput(8, static_cast<double>(reps));
         EXPECT_EQ(
             first.fingerprint(search::Granularity::Cluster).inputSignature,
-            support::xxh64(firstOutput.data(),
-                           firstOutput.size() * sizeof(double)));
+            support::xxh64(lastOutput.data(),
+                           lastOutput.size() * sizeof(double)));
         EXPECT_EQ(baselineExecutes(bench, opt), measuredExecutes(opt));
+    }
+}
+
+TEST(BaselineRecord, StoreMissTimesSearchRepsHitTimesOne)
+{
+    for (std::size_t reps : {1u, 3u, 5u}) {
+        std::string dir = freshDir("baseline_miss_hit");
+        TunerOptions opt = storeOptions(dir);
+        opt.searchReps = reps;
+        CountingBenchmark bench;
+        EXPECT_EQ(baselineExecutes(bench, opt), static_cast<int>(reps));
+        EXPECT_EQ(baselineExecutes(bench, opt), 1);
+        std::filesystem::remove_all(dir);
     }
 }
 
